@@ -14,22 +14,31 @@ GOLDEN = 0x9E3779B97F4A7C15
 ROW_MULT = 0xC2B2AE3D27D4EB4F
 COL_MULT = 0x165667B19E3779F9
 
+#: uint64 elements per block of the projection and hashing kernels.  Each
+#: block's temporaries (a few arrays of this size) stay in the CPU cache
+#: instead of streaming whole k x nnz or r x m x n arrays through memory.
+#: Every output element is a pure function of its seed and indices, so the
+#: block size changes no result.
+BLOCK_ELEMS = 1 << 15
+
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
 _M2 = np.uint64(0x94D049BB133111EB)
 
 
 def finalize_array(z: np.ndarray) -> np.ndarray:
-    """SplitMix64 finalizer over a uint64 array."""
-    z = np.asarray(z).astype(np.uint64, copy=True)
+    """SplitMix64 finalizer over a uint64 array; returns a new array."""
+    z = np.asarray(z).astype(np.uint64, copy=False)
     if z.ndim == 0:
         # numpy warns on scalar wrap-around; go through Python ints instead
         return np.uint64(finalize(int(z)))
-    z ^= z >> np.uint64(30)
-    z *= _M1
-    z ^= z >> np.uint64(27)
-    z *= _M2
-    z ^= z >> np.uint64(31)
-    return z
+    out = z >> np.uint64(30)
+    out ^= z
+    tmp = np.empty_like(out)
+    out *= _M1
+    out ^= np.right_shift(out, np.uint64(27), out=tmp)
+    out *= _M2
+    out ^= np.right_shift(out, np.uint64(31), out=tmp)
+    return out
 
 
 def finalize(z: int) -> int:

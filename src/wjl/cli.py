@@ -169,7 +169,9 @@ def main(argv=None) -> int:
             runner = {"fig1": run_fig1, "fig2": run_fig2, "fig3": run_fig3, "fig4": run_fig4}[args.command]
             _, path = runner(cfg)
             svg = path.with_suffix(".svg")
-            render_histogram(path, "ratio" if args.command == "fig2" else "estimate", 30, svg)
+            # fig2's ratio column is empty when no trial's x overlaps w; the
+            # run itself succeeded, so it still gets its SVG.
+            render_histogram(path, "ratio" if args.command == "fig2" else "estimate", 30, svg, allow_empty=True)
             print(f"wrote {path} and {svg}")
         elif args.command == "sketch-eval":
             cfg = _experiment_config(args)

@@ -347,12 +347,13 @@ def run_verify(seed: int = 0, rel_tol: float = 1e-9) -> list[tuple[str, bool]]:
     return results
 
 
-def render_histogram(csv_in: Path, column: str, bins: int, svg_out: Path) -> Path:
+def render_histogram(csv_in: Path, column: str, bins: int, svg_out: Path, *, allow_empty: bool = False) -> Path:
     """Deterministic SVG histogram over a numeric CSV column.
 
     Fixed 640x480 viewport, equal-width bins over [min, max], heights
     normalized to the fullest bin; a vertical reference line marks the true
-    value when present in the CSV metadata.
+    value when present in the CSV metadata.  A column with no numeric value
+    raises ValueError, or with allow_empty gets an SVG of the axis alone.
     """
     meta, rows = read_csv(Path(csv_in).read_text())
     if not rows:
@@ -363,60 +364,61 @@ def render_histogram(csv_in: Path, column: str, bins: int, svg_out: Path) -> Pat
         values = np.array([float(r[column]) for r in rows if r[column] != ""])
     except ValueError as exc:
         raise ValueError(f"column {column!r} is not numeric") from exc
-    if values.size == 0:
+    if values.size == 0 and not allow_empty:
         raise ValueError("no numeric values in column")
     if bins < 1:
         raise ValueError("bins must be positive")
 
-    lo, hi = float(values.min()), float(values.max())
-    if lo == hi:
-        counts = np.array([values.size])
-        edges = np.array([lo, hi])
-        bins = 1
-    else:
-        counts, edges = np.histogram(values, bins=bins, range=(lo, hi))
-    heights = counts / counts.max()
-
     width, height = 640, 480
     ml, mr, mt, mb = 50, 20, 20, 40
     plot_w, plot_h = width - ml - mr, height - mt - mb
-
-    def sx(v):  # data x -> pixels
-        if hi == lo:
-            return ml + plot_w / 2
-        return ml + (v - lo) / (hi - lo) * plot_w
-
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
     ]
-    bar_w = plot_w / bins if hi != lo else plot_w / 4
-    for idx, h in enumerate(heights):
-        if hi == lo:
-            x0 = ml + plot_w / 2 - bar_w / 2
+    if values.size:
+        lo, hi = float(values.min()), float(values.max())
+        if lo == hi:
+            counts = np.array([values.size])
+            edges = np.array([lo, hi])
+            bins = 1
         else:
-            x0 = sx(edges[idx])
-        bh = h * plot_h
-        parts.append(
-            f'<rect x="{x0!r}" y="{mt + plot_h - bh!r}" width="{bar_w!r}" '
-            f'height="{bh!r}" fill="#4878a8" stroke="black" stroke-width="0.5"/>'
-        )
-    truth = meta.get("true_value")
-    if truth is not None and lo <= float(truth) <= hi:
-        tx = sx(float(truth))
-        parts.append(
-            f'<line x1="{tx!r}" y1="{mt}" x2="{tx!r}" y2="{mt + plot_h}" '
-            f'stroke="red" stroke-width="1.5" stroke-dasharray="4,3"/>'
-        )
+            counts, edges = np.histogram(values, bins=bins, range=(lo, hi))
+        heights = counts / counts.max()
+
+        def sx(v):  # data x -> pixels
+            if hi == lo:
+                return ml + plot_w / 2
+            return ml + (v - lo) / (hi - lo) * plot_w
+
+        bar_w = plot_w / bins if hi != lo else plot_w / 4
+        for idx, h in enumerate(heights):
+            if hi == lo:
+                x0 = ml + plot_w / 2 - bar_w / 2
+            else:
+                x0 = sx(edges[idx])
+            bh = h * plot_h
+            parts.append(
+                f'<rect x="{x0!r}" y="{mt + plot_h - bh!r}" width="{bar_w!r}" '
+                f'height="{bh!r}" fill="#4878a8" stroke="black" stroke-width="0.5"/>'
+            )
+        truth = meta.get("true_value")
+        if truth is not None and lo <= float(truth) <= hi:
+            tx = sx(float(truth))
+            parts.append(
+                f'<line x1="{tx!r}" y1="{mt}" x2="{tx!r}" y2="{mt + plot_h}" '
+                f'stroke="red" stroke-width="1.5" stroke-dasharray="4,3"/>'
+            )
     parts.append(
         f'<line x1="{ml}" y1="{mt + plot_h}" x2="{ml + plot_w}" y2="{mt + plot_h}" '
         f'stroke="black" stroke-width="1"/>'
     )
-    parts.append(f'<text x="{ml}" y="{height - 10}" font-size="12">{_fmt(lo)}</text>')
-    parts.append(
-        f'<text x="{ml + plot_w - 80}" y="{height - 10}" font-size="12">{_fmt(hi)}</text>'
-    )
+    if values.size:
+        parts.append(f'<text x="{ml}" y="{height - 10}" font-size="12">{_fmt(lo)}</text>')
+        parts.append(
+            f'<text x="{ml + plot_w - 80}" y="{height - 10}" font-size="12">{_fmt(hi)}</text>'
+        )
     parts.append("</svg>")
     svg_out = Path(svg_out)
     svg_out.parent.mkdir(parents=True, exist_ok=True)

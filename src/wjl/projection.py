@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _mix
 from ._mix import COL_MULT, GOLDEN, ROW_MULT, U64_MASK, finalize_array
 from .units import UNIT_VALUES
 
@@ -24,8 +25,6 @@ REDUCED_VERSION = 1
 #: Default universal constant for the reduced-dimension planner; matches the
 #: constant appearing in the tail-bound analysis.
 DEFAULT_PLAN_CONSTANT = 576.0
-
-_ROW_BLOCK = 256
 
 
 class ProvenanceError(ValueError):
@@ -52,7 +51,9 @@ class ProjectionMatrix:
         cols = np.asarray(cols, dtype=np.uint64)
         base = np.uint64((self.seed * GOLDEN) & U64_MASK)
         z = base + rows * np.uint64(ROW_MULT) + cols * np.uint64(COL_MULT)
-        return (finalize_array(z) & np.uint64(3)).astype(np.uint8)
+        e = finalize_array(z)
+        e &= np.uint64(3)
+        return e.astype(np.uint8)
 
     def toarray(self) -> np.ndarray:
         """Materialize the full matrix as complex128; small matrices only."""
@@ -108,9 +109,14 @@ class ReducedVector:
     def from_bytes(cls, data: bytes) -> "ReducedVector":
         if data[:4] != REDUCED_MAGIC:
             raise ValueError("bad reduced vector magic")
+        if len(data) < 22:
+            raise ValueError(f"truncated WJLR file: expected 22 bytes, got {len(data)}")
         version, k, d, seed = struct.unpack("<HIIQ", data[4:22])
         if version != REDUCED_VERSION:
             raise ValueError(f"unsupported reduced vector version {version}")
+        size = 22 + 16 * k
+        if len(data) < size:
+            raise ValueError(f"truncated WJLR file: expected {size} bytes, got {len(data)}")
         parts = np.frombuffer(data[22:], dtype="<f8").reshape(k, 2)
         return cls(k, parts[:, 0] + 1j * parts[:, 1], seed, d)
 
@@ -121,20 +127,36 @@ class ReducedVector:
         return "\n".join(lines) + "\n"
 
 
+def _project(A: ProjectionMatrix, cols: np.ndarray, values: np.ndarray) -> ReducedVector:
+    """g = A[:, cols] @ values / sqrt(k), over blocks of about BLOCK_ELEMS entries.
+
+    Each block is whole rows, so every output coordinate comes from one
+    matrix-vector product over all of cols, exactly as without blocking.  A
+    block holds at least two rows: numpy sends a one-row product down its dot
+    path, which rounds differently from the matrix-vector path, so a trailing
+    one-row block joins the block before it.
+    """
+    rows = max(2, _mix.BLOCK_ELEMS // cols.size)
+    bounds = list(range(0, A.k, rows)) + [A.k]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        del bounds[-2]
+    out = np.empty(A.k, dtype=np.complex128)
+    cols = cols[None, :]
+    for start, stop in zip(bounds, bounds[1:]):
+        e = A.entry_exponents(np.arange(start, stop, dtype=np.uint64)[:, None], cols)
+        out[start:stop] = np.take(UNIT_VALUES, e) @ values
+    return ReducedVector(A.k, out * (1.0 / math.sqrt(A.k)), A.seed, A.d)
+
+
 def reduce(A: ProjectionMatrix, x: np.ndarray) -> ReducedVector:
-    """Apply the linear map g(x) = A x / sqrt(k) to a dense vector."""
+    """Apply the linear map g(x) = A x / sqrt(k) to a dense vector.
+
+    Bit-identical to reduce_sparse(A, arange(d), x).
+    """
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (A.d,):
         raise ValueError(f"expected vector of length {A.d}, got {x.shape}")
-    inv = 1.0 / math.sqrt(A.k)
-    out = np.empty(A.k, dtype=np.complex128)
-    cols = np.arange(A.d, dtype=np.uint64)[None, :]
-    for start in range(0, A.k, _ROW_BLOCK):
-        stop = min(start + _ROW_BLOCK, A.k)
-        rows = np.arange(start, stop, dtype=np.uint64)[:, None]
-        e = A.entry_exponents(rows, cols)
-        out[start:stop] = UNIT_VALUES[e] @ x
-    return ReducedVector(A.k, out * inv, A.seed, A.d)
+    return _project(A, np.arange(A.d, dtype=np.uint64), x)
 
 
 def reduce_sparse(A: ProjectionMatrix, indices: np.ndarray, values: np.ndarray) -> ReducedVector:
@@ -145,12 +167,9 @@ def reduce_sparse(A: ProjectionMatrix, indices: np.ndarray, values: np.ndarray) 
         raise ValueError("indices and values must be parallel 1-d arrays")
     if indices.size and (indices.min() < 0 or indices.max() >= A.d):
         raise ValueError("sparse index out of range")
-    inv = 1.0 / math.sqrt(A.k)
     if indices.size == 0:
         return ReducedVector(A.k, np.zeros(A.k, dtype=np.complex128), A.seed, A.d)
-    rows = np.arange(A.k, dtype=np.uint64)[:, None]
-    e = A.entry_exponents(rows, indices.astype(np.uint64)[None, :])
-    return ReducedVector(A.k, (UNIT_VALUES[e] @ values) * inv, A.seed, A.d)
+    return _project(A, indices.astype(np.uint64), values)
 
 
 def rho(gx: ReducedVector, gw: ReducedVector) -> float:

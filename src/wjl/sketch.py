@@ -18,6 +18,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from . import _mix
 from ._mix import GOLDEN, ROW_MULT, U64_MASK, finalize_array
 from .hashing import HashPolynomial, coefficients_for_seeds, hash_eval_exponents
 from .units import UNIT_VALUES
@@ -67,6 +68,29 @@ def cell_seeds(config: SketchConfig) -> np.ndarray:
     j = np.arange(config.m, dtype=np.uint64)[None, :]
     z = np.uint64(config.seed) ^ (i * np.uint64(GOLDEN)) ^ (j * np.uint64(ROW_MULT))
     return finalize_array(z)
+
+
+def _hash_sums(coefficients: np.ndarray, ts: np.ndarray, *vectors: np.ndarray) -> list[np.ndarray]:
+    """Per cell, sum_n v[n] * h_ij(ts[n]) for each vector v; one (r, m) array each.
+
+    Runs over blocks of about BLOCK_ELEMS cell-keys, each holding every key of
+    the batch for a run of cells, so the temporaries do not grow with r x m
+    (a block holds at least one cell, so they grow with n past BLOCK_ELEMS
+    keys).  The hashes are evaluated with keys on the outer axis, so the ufunc
+    inner loops run over cells even for a batch of a few keys.  Each cell's
+    units are then laid out contiguously for the einsum, which sums them in
+    the same order as over the whole (r, m, n) array.
+    """
+    flat = coefficients.reshape(-1, 8)
+    keys = np.reshape(ts, (-1, 1))
+    step = max(1, _mix.BLOCK_ELEMS // max(1, keys.shape[0]))
+    sums = [np.empty(flat.shape[0], dtype=np.complex128) for _ in vectors]
+    for start in range(0, flat.shape[0], step):
+        e = hash_eval_exponents(flat[start : start + step], keys)  # (n, cells)
+        units = np.take(UNIT_VALUES, e.T)  # C order: (cells, n)
+        for out, v in zip(sums, vectors):
+            out[start : start + step] = np.einsum("cn,n->c", units, v)
+    return [s.reshape(coefficients.shape[:-1]) for s in sums]
 
 
 class StreamSketch:
@@ -122,8 +146,8 @@ class StreamSketch:
             for t, v in zip(ts, vs):
                 self.update(int(t), float(v))
             return
-        e = hash_eval_exponents(self._coefficients[..., None, :], ts)  # (r, m, n)
-        self.counters += np.einsum("ijn,n->ij", UNIT_VALUES[e], vs)
+        (sums,) = _hash_sums(self._coefficients, ts, vs)
+        self.counters += sums
         self.items_seen += len(vs)
 
     def ingest(self, values: np.ndarray):
@@ -157,9 +181,14 @@ class StreamSketch:
     def from_bytes(cls, data: bytes) -> "StreamSketch":
         if data[:4] != SKETCH_MAGIC:
             raise ValueError("bad sketch magic")
+        if len(data) < 31:
+            raise ValueError(f"truncated WJLS file: expected 31 bytes, got {len(data)}")
         version, mode_idx, r, m, seed, items = struct.unpack("<HBIIQQ", data[4:31])
         if version != SKETCH_VERSION:
             raise ValueError(f"unsupported sketch version {version}")
+        size = cls.serialized_size(r, m)
+        if len(data) < size:
+            raise ValueError(f"truncated WJLS file: expected {size} bytes, got {len(data)}")
         sketch = cls(SketchConfig(r=r, m=m, seed=seed, mode=_MODES[mode_idx]))
         n = r * m
         parts = np.frombuffer(data[31 : 31 + 16 * n], dtype="<f8").reshape(n, 2)
@@ -201,10 +230,9 @@ def ingest_pair(sx: StreamSketch, sw: StreamSketch, ts: np.ndarray, xs: np.ndarr
     ts = np.asarray(ts)
     xs = np.asarray(xs, dtype=np.float64)
     ws = np.asarray(ws, dtype=np.float64)
-    e = hash_eval_exponents(sx._coefficients[..., None, :], ts)  # (r, m, n)
-    units = UNIT_VALUES[e]
-    sx.counters += np.einsum("ijn,n->ij", units, xs)
-    sw.counters += np.einsum("ijn,n->ij", units, ws)
+    sums_x, sums_w = _hash_sums(sx._coefficients, ts, xs, ws)
+    sx.counters += sums_x
+    sw.counters += sums_w
     sx.items_seen += len(xs)
     sw.items_seen += len(ws)
 

@@ -1,0 +1,172 @@
+"""The blocked projection and hashing kernels against their unblocked formulas.
+
+Blocking must not change a single output bit: every matrix entry and hash
+value is a function of its seed and indices alone, and each output
+coordinate or counter is still summed in one call over all its terms.
+"""
+
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from wjl import _mix
+from wjl.hashing import MERSENNE_P, HashPolynomial, hash_eval, hash_eval_exponents
+from wjl.projection import ProjectionMatrix, reduce, reduce_sparse
+from wjl.sketch import SketchConfig, StreamSketch, ingest_pair, new_pair
+from wjl.units import UNIT_VALUES
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def _values(rng, n):
+    # A wide dynamic range, so that a different summation order shows.
+    return rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9, n)
+
+
+def _unblocked_reduce(A, idx, values):
+    e = A.entry_exponents(np.arange(A.k, dtype=np.uint64)[:, None], idx.astype(np.uint64)[None, :])
+    return (UNIT_VALUES[e] @ values) * (1.0 / math.sqrt(A.k))
+
+
+def _divided_by_smallest_factor(total):
+    return total // next((c for c in range(2, total + 1) if total % c == 0), 1)
+
+
+# The block budget for k x nnz entries below it, equal to it, one above it,
+# and a multiple of it.
+_RELATION = {
+    "below": lambda k, nnz: k * nnz + 1,
+    "equal": lambda k, nnz: k * nnz,
+    "one above": lambda k, nnz: max(1, k * nnz - 1),
+    "multiple": lambda k, nnz: _divided_by_smallest_factor(k * nnz),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    k=st.integers(1, 60),
+    nnz=st.integers(1, 40),
+    relation=st.sampled_from(sorted(_RELATION)),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(k=9, nnz=33, relation="multiple", seed=1)  # 3-row blocks leave no one-row tail
+@example(k=7, nnz=33, relation="multiple", seed=2)  # 2-row blocks would leave a one-row tail
+@example(k=3, nnz=40, relation="one above", seed=3)
+def test_reduce_sparse_matches_unblocked_formula(k, nnz, relation, seed):
+    rng = np.random.default_rng(seed)
+    d = 4 * nnz
+    A = ProjectionMatrix(k=k, d=d, seed=int(rng.integers(0, 2**63)))
+    idx = rng.choice(d, nnz, replace=False)
+    values = _values(rng, nnz)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_mix, "BLOCK_ELEMS", _RELATION[relation](k, nnz))
+        got = reduce_sparse(A, idx, values).values
+    assert np.array_equal(_bits(got), _bits(_unblocked_reduce(A, idx, values)))
+
+
+@pytest.mark.parametrize("budget", [1, 7, 64, 1 << 15])
+def test_dense_reduce_is_reduce_sparse_over_all_columns(monkeypatch, budget):
+    monkeypatch.setattr(_mix, "BLOCK_ELEMS", budget)
+    rng = np.random.default_rng(budget)
+    A = ProjectionMatrix(k=37, d=50, seed=99)
+    x = _values(rng, 50)
+    dense = reduce(A, x)
+    assert dense.to_bytes() == reduce_sparse(A, np.arange(50), x).to_bytes()
+    assert np.array_equal(_bits(dense.values), _bits(_unblocked_reduce(A, np.arange(50), x)))
+
+
+def _unblocked_sums(coefficients, ts, vs):
+    e = hash_eval_exponents(coefficients[..., None, :], ts)  # (r, m, n)
+    return np.einsum("ijn,n->ij", UNIT_VALUES[e], vs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    r=st.integers(1, 5),
+    m=st.integers(1, 9),
+    n=st.integers(0, 40),
+    budget=st.integers(1, 200),
+    big_keys=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_update_many_and_ingest_pair_match_unblocked_einsum(r, m, n, budget, big_keys, seed):
+    rng = np.random.default_rng(seed)
+    cfg = SketchConfig(r=r, m=m, seed=int(rng.integers(0, 2**63)), mode="turnstile")
+    # Keys of 2^32 and above take the full 61-bit multiplication.
+    ts = rng.integers(0, MERSENNE_P if big_keys else 5_000, n)
+    xs, ws = _values(rng, n), np.abs(_values(rng, n))
+    sk = StreamSketch(cfg)
+    sx, sw = new_pair(cfg)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_mix, "BLOCK_ELEMS", budget)
+        sk.update_many(ts, xs)
+        ingest_pair(sx, sw, ts, xs, ws)
+    ref_x = _unblocked_sums(sk._coefficients, ts, xs)
+    ref_w = _unblocked_sums(sk._coefficients, ts, ws)
+    assert np.array_equal(_bits(sk.counters), _bits(ref_x))
+    assert np.array_equal(_bits(sx.counters), _bits(ref_x))
+    assert np.array_equal(_bits(sw.counters), _bits(ref_w))
+    assert sk.items_seen == sx.items_seen == sw.items_seen == n
+
+
+def test_update_many_matches_unblocked_einsum_past_the_einsum_buffer():
+    # numpy's einsum sums in buffer-sized chunks past 8192 terms; the blocked
+    # kernel must chunk each cell's sum the same way.  3 cells of 10^4 keys
+    # fit one default block.
+    rng = np.random.default_rng(5)
+    cfg = SketchConfig(r=1, m=3, seed=17, mode="turnstile")
+    ts = rng.integers(0, 10**6, 10_000)
+    vs = _values(rng, 10_000)
+    sk = StreamSketch(cfg)
+    sk.update_many(ts, vs)
+    assert np.array_equal(_bits(sk.counters), _bits(_unblocked_sums(sk._coefficients, ts, vs)))
+
+
+@pytest.mark.parametrize("budget", [1, 5, 1 << 15])
+def test_blocked_exponents_match_scalar_hash_eval(monkeypatch, budget):
+    monkeypatch.setattr(_mix, "BLOCK_ELEMS", budget)
+    cfg = SketchConfig(r=2, m=3, seed=23, mode="turnstile")
+    ts = np.array([0, 1, 2, 977, 2**32 - 1, 2**32, MERSENNE_P - 1], dtype=np.uint64)
+    for key in range(len(ts)):
+        # One unit key at a time: the counters are then exactly h_ij(t).
+        vs = np.zeros(len(ts))
+        vs[key] = 1.0
+        sk = StreamSketch(cfg)
+        sk.update_many(ts, vs)
+        for i in range(cfg.r):
+            for j in range(cfg.m):
+                poly = HashPolynomial(tuple(int(c) for c in sk._coefficients[i, j]))
+                assert sk.counters[i, j] == UNIT_VALUES[int(hash_eval(poly, int(ts[key])))]
+
+
+def _peak_mb(fn) -> float:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_reduce_sparse_memory_does_not_grow_with_k_times_nnz():
+    # Unblocked, this reduction peaks at about 258 MB.
+    A = ProjectionMatrix(k=100_000, d=200_000, seed=3)
+    rng = np.random.default_rng(0)
+    idx = rng.choice(A.d, 100, replace=False)
+    values = rng.standard_normal(100)
+    assert _peak_mb(lambda: reduce_sparse(A, idx, values)) < 16
+
+
+def test_update_many_memory_does_not_grow_with_r_m_n():
+    # Unblocked, 10^4 keys into 13 x 137 cells peak at about 1.13 GB.
+    sk = StreamSketch(SketchConfig(r=13, m=137, seed=4, mode="turnstile"))
+    rng = np.random.default_rng(1)
+    ts = rng.integers(0, 200_000, 10_000)
+    vs = rng.standard_normal(10_000)
+    assert _peak_mb(lambda: sk.update_many(ts, vs)) < 64

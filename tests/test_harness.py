@@ -189,3 +189,20 @@ def test_cli_bad_input_exit_code(tmp_path):
     # argparse also exits 2 on a usage error; the missing file must be what is reported.
     assert res.stderr.startswith("error: "), res.stderr
     assert "Traceback" not in res.stderr, res.stderr
+
+
+def test_cli_fig2_without_overlap_writes_axes_only_svg(tmp_path, capsys):
+    from wjl.cli import main
+
+    # At desk seed 168 no trial's x overlaps w, so every ratio is empty.
+    assert main(["fig2", "--scale", "desk", "--seed", "168", "--out", str(tmp_path)]) == 0
+    _, rows = read_csv((tmp_path / "fig2.csv").read_text())
+    assert len(rows) == 300 and all(row["ratio"] == "" for row in rows)
+    svg = (tmp_path / "fig2.svg").read_text()
+    assert svg.startswith("<svg") and svg.count("<rect") == 1  # the background only
+    assert "<line" in svg and "<text" not in svg
+    capsys.readouterr()
+    # Asked for explicitly, a histogram of an empty column is still an error.
+    args = ["plot", str(tmp_path / "fig2.csv"), "--column", "ratio", "--output", str(tmp_path / "p.svg")]
+    assert main(args) == 2
+    assert capsys.readouterr().err == "error: no numeric values in column\n"

@@ -209,6 +209,22 @@ def test_reduced_vector_serialization():
     assert len(csv.splitlines()) == 7
 
 
+@pytest.mark.parametrize("cut", [5, 21, 22, 22 + 16 * 6 - 1])
+def test_truncated_reduced_vector_file(tmp_path, capsys, cut):
+    from wjl.cli import main
+
+    g = reduce(sample_matrix(20, 6, 31), np.arange(20.0))
+    data = g.to_bytes()[:cut]
+    expected = 22 if cut < 22 else 22 + 16 * 6
+    message = f"truncated WJLR file: expected {expected} bytes, got {cut}"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ReducedVector.from_bytes(data)
+    (tmp_path / "cut.wjlr").write_bytes(data)
+    (tmp_path / "ok.wjlr").write_bytes(g.to_bytes())
+    assert main(["estimate", str(tmp_path / "ok.wjlr"), str(tmp_path / "cut.wjlr")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_concentration_improves_with_k():
     # Small-scale version of the fig-1 scaling law; the full check lives in
     # the acceptance suite.

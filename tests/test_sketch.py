@@ -177,6 +177,15 @@ def test_serialization_roundtrip_and_size():
     assert np.array_equal(back._coefficients, s._coefficients)
 
 
+@pytest.mark.parametrize("cut", [5, 30, 31, 31 + 16 * 6, StreamSketch.serialized_size(3, 2) - 1])
+def test_truncated_sketch_file(cut):
+    s = sketch_new(SketchConfig(r=3, m=2, seed=21, mode="turnstile"))
+    s.update(5, 1.5)
+    expected = 31 if cut < 31 else StreamSketch.serialized_size(3, 2)
+    with pytest.raises(ValueError, match=f"^truncated WJLS file: expected {expected} bytes, got {cut}$"):
+        StreamSketch.from_bytes(s.to_bytes()[:cut])
+
+
 def test_negative_estimates_not_clamped():
     # Force counters whose product squared has negative real part.
     cfg = SketchConfig(r=1, m=1, seed=0)
