@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -28,20 +29,26 @@ from .harness import (
     run_sketch_eval,
     run_verify,
 )
-from .projection import ReducedVector, reduce_sparse, rho, sample_matrix
+from .projection import ProjectionMatrix, ReducedVector, reduce_sparse, rho
 from .sketch import SketchConfig, StreamSketch
 
+_SCALES = {"desk": DESK_SCALE, "paper": PAPER_SCALE}
 
-def _read_sparse_csv(path: Path, d: int) -> tuple[np.ndarray, np.ndarray]:
-    lines = path.read_text().splitlines()
+
+def _read_pairs(text: str, source) -> tuple[np.ndarray, np.ndarray]:
+    """Parse `int,float` CSV lines, skipping blank and header lines."""
     idx, vals = [], []
-    for ln in lines[1:]:
-        if not ln:
+    for lineno, ln in enumerate(text.splitlines(), start=1):
+        ln = ln.strip()
+        if not ln or ln[0].isalpha():
             continue
         i, v = ln.split(",")
+        value = float(v)
+        if not math.isfinite(value):
+            raise ValueError(f"{source} line {lineno}: non-finite value {v.strip()}")
         idx.append(int(i))
-        vals.append(float(v))
-    return np.array(idx, dtype=np.int64), np.array(vals)
+        vals.append(value)
+    return np.array(idx), np.array(vals)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -100,7 +107,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _experiment_config(args) -> ExperimentConfig:
-    scale = DESK_SCALE if args.scale == "desk" else PAPER_SCALE
+    scale = _SCALES[args.scale]
     d = args.d if args.d is not None else scale["d"]
     k_list = tuple(args.k) if args.k else tuple(scale["k_list"])
     trials = args.trials if args.trials is not None else scale["trials"]
@@ -140,10 +147,14 @@ def main(argv=None) -> int:
             (cfg.out_dir / "w.csv").write_text(sparse_csv(pair.w))
             print(f"wrote {cfg.out_dir}/x.csv and {cfg.out_dir}/w.csv")
         elif args.command == "reduce":
-            cfg = _experiment_config(args)
-            idx, vals = _read_sparse_csv(args.vector, cfg.spec.d)
-            A = sample_matrix(cfg.spec.d, args.k_dim, cfg.master_seed)
-            gv = reduce_sparse(A, idx, vals)
+            d = args.d if args.d is not None else _SCALES[args.scale]["d"]
+            seed = args.seed
+            if args.config:
+                raw = json.loads(args.config.read_text())
+                d = raw.get("spec", {}).get("d", d)
+                seed = raw.get("master_seed", seed)
+            idx, vals = _read_pairs(args.vector.read_text(), args.vector)
+            gv = reduce_sparse(ProjectionMatrix(k=args.k_dim, d=d, seed=seed), idx, vals)
             args.output.write_bytes(gv.to_bytes())
             print(f"wrote {args.output}")
         elif args.command == "estimate":
@@ -151,17 +162,11 @@ def main(argv=None) -> int:
             gw = ReducedVector.from_bytes(args.reduced_w.read_bytes())
             print(repr(rho(gx, gw)))
         elif args.command == "sketch":
-            text = sys.stdin.read() if str(args.stream) == "-" else args.stream.read_text()
+            stdin = str(args.stream) == "-"
+            text = sys.stdin.read() if stdin else args.stream.read_text()
             sk = StreamSketch(SketchConfig(r=args.r, m=args.m, seed=args.seed, mode=args.mode))
-            ts, vs = [], []
-            for ln in text.splitlines():
-                ln = ln.strip()
-                if not ln or ln[0].isalpha():
-                    continue
-                t, v = ln.split(",")
-                ts.append(int(t))
-                vs.append(float(v))
-            sk.update_many(np.array(ts), np.array(vs))
+            ts, vs = _read_pairs(text, "stdin" if stdin else args.stream)
+            sk.update_many(ts, vs)
             args.output.write_bytes(sk.to_bytes())
             print(f"wrote {args.output} ({len(ts)} updates)")
         elif args.command in ("fig1", "fig2", "fig3", "fig4"):
@@ -189,7 +194,7 @@ def main(argv=None) -> int:
         elif args.command == "plot":
             out = render_histogram(args.csv, args.column, args.bins, args.output)
             print(f"wrote {out}")
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -11,7 +11,6 @@ p % 4 == 3; the deviation is at most 4/p per value and is ignored.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,8 +25,6 @@ _P = np.uint64(MERSENNE_P)
 _MASK32 = np.uint64(0xFFFFFFFF)
 _MASK29 = np.uint64((1 << 29) - 1)
 _S29, _S32, _S61 = np.uint64(29), np.uint64(32), np.uint64(61)
-
-HASH_MAGIC = b"WJLH"
 
 
 def _fold61(x: np.ndarray, tmp: np.ndarray) -> np.ndarray:
@@ -106,15 +103,6 @@ class HashPolynomial:
             raise ValueError("expected 8 coefficients")
         if any(not 0 <= c < MERSENNE_P for c in self.coefficients):
             raise ValueError("coefficients must lie in [0, p)")
-
-    def to_bytes(self) -> bytes:
-        return HASH_MAGIC + struct.pack("<8Q", *self.coefficients)
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "HashPolynomial":
-        if data[:4] != HASH_MAGIC:
-            raise ValueError("bad hash polynomial magic")
-        return cls(struct.unpack("<8Q", data[4:68]))
 
 
 def hash_new(seed: int) -> HashPolynomial:

@@ -42,6 +42,8 @@ class ProjectionMatrix:
     def __post_init__(self):
         if self.k < 1 or self.d < 1:
             raise ValueError("matrix dimensions must be positive")
+        if self.k >= 1 << 32 or self.d >= 1 << 32:
+            raise ValueError("matrix dimensions must be below 2^32 to fit the WJLR header")
         if not 0 <= self.seed <= U64_MASK:
             raise ValueError("seed must be a 64-bit unsigned integer")
 
@@ -50,7 +52,10 @@ class ProjectionMatrix:
         rows = np.asarray(rows, dtype=np.uint64)
         cols = np.asarray(cols, dtype=np.uint64)
         base = np.uint64((self.seed * GOLDEN) & U64_MASK)
-        z = base + rows * np.uint64(ROW_MULT) + cols * np.uint64(COL_MULT)
+        # Wraps around mod 2^64 by design.  Ufunc calls rather than operators:
+        # numpy's scalar operators, which 0-d inputs reach, warn on overflow.
+        z = np.add(base, np.multiply(rows, np.uint64(ROW_MULT)))
+        z = np.add(z, np.multiply(cols, np.uint64(COL_MULT)))
         e = finalize_array(z)
         e &= np.uint64(3)
         return e.astype(np.uint8)
@@ -100,10 +105,7 @@ class ReducedVector:
         header = REDUCED_MAGIC + struct.pack(
             "<HIIQ", REDUCED_VERSION, self.k, self.dims_d, self.matrix_seed
         )
-        parts = np.empty((self.k, 2))
-        parts[:, 0] = self.values.real
-        parts[:, 1] = self.values.imag
-        return header + parts.astype("<f8").tobytes()
+        return header + self.values.astype("<c16", copy=False).tobytes()
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "ReducedVector":
@@ -117,8 +119,9 @@ class ReducedVector:
         size = 22 + 16 * k
         if len(data) < size:
             raise ValueError(f"truncated WJLR file: expected {size} bytes, got {len(data)}")
-        parts = np.frombuffer(data[22:], dtype="<f8").reshape(k, 2)
-        return cls(k, parts[:, 0] + 1j * parts[:, 1], seed, d)
+        if len(data) > size:
+            raise ValueError(f"WJLR file has trailing bytes: expected {size} bytes, got {len(data)}")
+        return cls(k, np.frombuffer(data, dtype="<c16", offset=22).astype(np.complex128), seed, d)
 
     def to_csv(self) -> str:
         lines = ["index,re,im"]

@@ -20,11 +20,11 @@ import numpy as np
 
 from . import _mix
 from ._mix import GOLDEN, ROW_MULT, U64_MASK, finalize_array
-from .hashing import HashPolynomial, coefficients_for_seeds, hash_eval_exponents
+from .hashing import coefficients_for_seeds, hash_eval_exponents
 from .units import UNIT_VALUES
 
 SKETCH_MAGIC = b"WJLS"
-SKETCH_VERSION = 1
+SKETCH_VERSION = 2
 
 _MODES = ("timestep", "turnstile")
 
@@ -43,6 +43,8 @@ class SketchConfig:
     def __post_init__(self):
         if self.r < 1 or self.m < 1:
             raise ValueError("r and m must be positive")
+        if self.r >= 1 << 32 or self.m >= 1 << 32:
+            raise ValueError("r and m must be below 2^32 to fit the WJLS header")
         if not 0 <= self.seed <= U64_MASK:
             raise ValueError("seed must be a 64-bit unsigned integer")
         if self.mode not in _MODES:
@@ -121,9 +123,6 @@ class StreamSketch:
         """Empty sketch sharing this sketch's config and hash polynomials."""
         return StreamSketch(self.config, _coefficients=self._coefficients, hash_override=self._override)
 
-    def hash_at(self, i: int, j: int) -> HashPolynomial:
-        return HashPolynomial(tuple(int(c) for c in self._coefficients[i, j]))
-
     def _exponents(self, t: int) -> np.ndarray:
         if self._override is not None:
             return np.asarray(self._override(t))
@@ -155,6 +154,10 @@ class StreamSketch:
         self.update_many(np.arange(1, len(values) + 1), values)
 
     def to_bytes(self) -> bytes:
+        """WJLS v2: the 31-byte header, then the r*m counters as little-endian
+        (re, im) float64 pairs.  The hash coefficients are not stored: they
+        are a function of the seed, and from_bytes derives them again.
+        """
         if self._override is not None:
             raise ValueError("sketches with overridden hashes cannot be serialized")
         header = SKETCH_MAGIC + struct.pack(
@@ -166,16 +169,7 @@ class StreamSketch:
             self.config.seed,
             self.items_seen,
         )
-        parts = np.empty((self.config.r * self.config.m, 2))
-        flat = self.counters.ravel()
-        parts[:, 0] = flat.real
-        parts[:, 1] = flat.imag
-        hashes = b"".join(
-            self.hash_at(i, j).to_bytes()
-            for i in range(self.config.r)
-            for j in range(self.config.m)
-        )
-        return header + parts.astype("<f8").tobytes() + hashes
+        return header + self.counters.astype("<c16", copy=False).tobytes()
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "StreamSketch":
@@ -186,25 +180,21 @@ class StreamSketch:
         version, mode_idx, r, m, seed, items = struct.unpack("<HBIIQQ", data[4:31])
         if version != SKETCH_VERSION:
             raise ValueError(f"unsupported sketch version {version}")
+        if mode_idx >= len(_MODES):
+            raise ValueError(f"unknown WJLS mode byte {mode_idx}")
         size = cls.serialized_size(r, m)
         if len(data) < size:
             raise ValueError(f"truncated WJLS file: expected {size} bytes, got {len(data)}")
+        if len(data) > size:
+            raise ValueError(f"WJLS file has trailing bytes: expected {size} bytes, got {len(data)}")
         sketch = cls(SketchConfig(r=r, m=m, seed=seed, mode=_MODES[mode_idx]))
-        n = r * m
-        parts = np.frombuffer(data[31 : 31 + 16 * n], dtype="<f8").reshape(n, 2)
-        sketch.counters = (parts[:, 0] + 1j * parts[:, 1]).reshape(r, m)
+        sketch.counters = np.frombuffer(data, dtype="<c16", offset=31).astype(np.complex128).reshape(r, m)
         sketch.items_seen = items
-        coeffs = np.empty((r, m, 8), dtype=np.uint64)
-        off = 31 + 16 * n
-        for idx in range(n):
-            poly = HashPolynomial.from_bytes(data[off + 68 * idx : off + 68 * (idx + 1)])
-            coeffs[idx // m, idx % m] = poly.coefficients
-        sketch._coefficients = coeffs
         return sketch
 
     @staticmethod
     def serialized_size(r: int, m: int) -> int:
-        return 31 + r * m * (16 + 68)
+        return 31 + 16 * r * m
 
 
 def sketch_new(config: SketchConfig) -> StreamSketch:

@@ -18,6 +18,7 @@ from wjl.harness import (
     run_sketch_eval,
     run_verify,
 )
+from wjl.projection import ProjectionMatrix, reduce_sparse
 
 
 def _small_cfg(experiment, tmp_path, **overrides):
@@ -206,3 +207,46 @@ def test_cli_fig2_without_overlap_writes_axes_only_svg(tmp_path, capsys):
     args = ["plot", str(tmp_path / "fig2.csv"), "--column", "ratio", "--output", str(tmp_path / "p.svg")]
     assert main(args) == 2
     assert capsys.readouterr().err == "error: no numeric values in column\n"
+
+
+def test_cli_reduce_small_d_and_oversized_d(tmp_path, capsys):
+    from wjl.cli import main
+
+    vec = tmp_path / "x.csv"
+    vec.write_text("index,value\n1,0.5\n3,2.0\n")
+    out = tmp_path / "x.wjlr"
+    assert main(["reduce", str(vec), "--d", "5", "--k-dim", "8", "--seed", "4", "--output", str(out)]) == 0
+    expected = reduce_sparse(ProjectionMatrix(k=8, d=5, seed=4), np.array([1, 3]), np.array([0.5, 2.0]))
+    assert out.read_bytes() == expected.to_bytes()
+    capsys.readouterr()
+    assert main(["reduce", str(vec), "--d", str(2**32), "--k-dim", "8", "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("command, text, line, bad", [
+    ("reduce", "index,value\n1,0.5\n3,nan\n", 3, "nan"),
+    ("sketch", "t,value\n1,0.5\n\n3,-inf\n", 4, "-inf"),
+    ("sketch", "1,inf\n", 1, "inf"),
+])
+def test_cli_rejects_non_finite_values(tmp_path, capsys, command, text, line, bad):
+    from wjl.cli import main
+
+    src = tmp_path / "in.csv"
+    src.write_text(text)
+    extra = ["--d", "5", "--k-dim", "8"] if command == "reduce" else []
+    assert main([command, str(src), *extra, "--output", str(tmp_path / "out.bin")]) == 2
+    assert capsys.readouterr().err == f"error: {src} line {line}: non-finite value {bad}\n"
+    assert not (tmp_path / "out.bin").exists()
+
+
+@pytest.mark.parametrize("command", ["reduce", "sketch"])
+def test_cli_rejects_index_beyond_64_bits(tmp_path, capsys, command):
+    from wjl.cli import main
+
+    src = tmp_path / "in.csv"
+    src.write_text(f"index,value\n{2**70},1.0\n")
+    extra = ["--d", "5", "--k-dim", "8"] if command == "reduce" else []
+    assert main([command, str(src), *extra, "--output", str(tmp_path / "out.bin")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err

@@ -108,9 +108,3 @@ def test_joint_distribution_eight_points_small_field():
     res = stats.chisquare(counts, expected * n)
     assert res.pvalue > 1e-3
 
-
-def test_serialization_roundtrip():
-    h = hash_new(99)
-    data = h.to_bytes()
-    assert data[:4] == b"WJLH" and len(data) == 68
-    assert HashPolynomial.from_bytes(data) == h

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from wjl.oracle import WeightedPair, weighted_sq_norm
 from wjl.projection import (
     PlanParams,
+    ProjectionMatrix,
     ProvenanceError,
     ReducedVector,
     hoeffding_k,
@@ -204,6 +206,10 @@ def test_reduced_vector_serialization():
     back = ReducedVector.from_bytes(data)
     assert back.k == g.k and back.matrix_seed == g.matrix_seed and back.dims_d == g.dims_d
     assert np.array_equal(back.values, g.values)
+    # Bit-exact, signed zeros and infinities included.
+    odd = ReducedVector(2, np.array([complex(-0.0, 1.0), complex(1.0, np.inf)]), 31, 20)
+    back = ReducedVector.from_bytes(odd.to_bytes())
+    assert np.array_equal(back.values.view(np.uint64), odd.values.view(np.uint64))
     csv = g.to_csv()
     assert csv.splitlines()[0] == "index,re,im"
     assert len(csv.splitlines()) == 7
@@ -223,6 +229,36 @@ def test_truncated_reduced_vector_file(tmp_path, capsys, cut):
     (tmp_path / "ok.wjlr").write_bytes(g.to_bytes())
     assert main(["estimate", str(tmp_path / "ok.wjlr"), str(tmp_path / "cut.wjlr")]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_reduced_vector_trailing_bytes(tmp_path, capsys):
+    from wjl.cli import main
+
+    g = reduce(sample_matrix(20, 6, 31), np.arange(20.0))
+    data = g.to_bytes() + b"\0" * 16  # one whole extra coordinate
+    message = f"WJLR file has trailing bytes: expected {22 + 16 * 6} bytes, got {22 + 16 * 7}"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ReducedVector.from_bytes(data)
+    (tmp_path / "long.wjlr").write_bytes(data)
+    (tmp_path / "ok.wjlr").write_bytes(g.to_bytes())
+    assert main(["estimate", str(tmp_path / "ok.wjlr"), str(tmp_path / "long.wjlr")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_matrix_dimensions_fit_header_fields():
+    ProjectionMatrix(k=2**32 - 1, d=2**32 - 1, seed=0)  # validation only; nothing is allocated
+    for k, d in ((2**32, 5), (5, 2**32)):
+        with pytest.raises(ValueError, match="below 2\\^32"):
+            ProjectionMatrix(k=k, d=d, seed=0)
+
+
+def test_scalar_entry_exponents_wrap_silently():
+    A = ProjectionMatrix(k=3, d=5, seed=2**63 + 5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scalar = A.entry_exponents(2, 4)
+        row = A.entry_exponents(2, np.arange(5))
+    assert scalar == row[4] == A.entry_exponents(np.array([2]), np.array([4]))[0]
 
 
 def test_concentration_improves_with_k():

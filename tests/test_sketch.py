@@ -1,7 +1,10 @@
 import itertools
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wjl.oracle import exact_sketch_expectation
 from wjl.sketch import (
@@ -21,8 +24,8 @@ def test_construction():
     s = sketch_new(SketchConfig(r=3, m=2, seed=0))
     assert s.counters.shape == (3, 2)
     assert np.all(s.counters == 0)
-    polys = {s.hash_at(i, j) for i in range(3) for j in range(2)}
-    assert len(polys) == 6
+    assert s._coefficients.shape == (3, 2, 8)
+    assert len({tuple(row) for row in s._coefficients.reshape(-1, 8)}) == 6
 
 
 def test_hash_arrays_deterministic():
@@ -177,13 +180,69 @@ def test_serialization_roundtrip_and_size():
     assert np.array_equal(back._coefficients, s._coefficients)
 
 
-@pytest.mark.parametrize("cut", [5, 30, 31, 31 + 16 * 6, StreamSketch.serialized_size(3, 2) - 1])
+@settings(max_examples=60, deadline=None)
+@given(
+    r=st.integers(1, 4),
+    m=st.integers(1, 5),
+    seed=st.integers(0, 2**64 - 1),
+    mode=st.sampled_from(["timestep", "turnstile"]),
+    items=st.integers(0, 2**64 - 1),
+    data=st.data(),
+)
+def test_serialization_roundtrip_property(r, m, seed, mode, items, data):
+    cfg = SketchConfig(r=r, m=m, seed=seed, mode=mode)
+    s = StreamSketch(cfg)
+    parts = data.draw(st.lists(st.floats(), min_size=2 * r * m, max_size=2 * r * m))
+    parts[0] = -0.0
+    s.counters = np.array(parts).view(np.complex128).reshape(r, m)
+    s.items_seen = items
+    blob = s.to_bytes()
+    assert len(blob) == StreamSketch.serialized_size(r, m) == 31 + 16 * r * m
+    back = StreamSketch.from_bytes(blob)
+    assert back.config == cfg and back.items_seen == items
+    assert np.array_equal(back.counters.view(np.uint64), s.counters.view(np.uint64))
+    assert back.to_bytes() == blob
+    assert np.array_equal(back._coefficients, StreamSketch(cfg)._coefficients)
+
+
+def _header(version=2, mode=1, r=3, m=2, seed=21, items=1):
+    return b"WJLS" + struct.pack("<HBIIQQ", version, mode, r, m, seed, items)
+
+
+def test_version_1_file_rejected():
+    # A v1 file of the same sketch: header, counters, then 68 bytes of hash
+    # coefficients per cell.
+    data = _header(version=1) + bytes(6 * (16 + 68))
+    with pytest.raises(ValueError, match="^unsupported sketch version 1$"):
+        StreamSketch.from_bytes(data)
+
+
+def test_unknown_mode_byte():
+    with pytest.raises(ValueError, match="^unknown WJLS mode byte 5$"):
+        StreamSketch.from_bytes(_header(mode=5) + bytes(16 * 6))
+
+
+def test_trailing_bytes_rejected():
+    s = sketch_new(SketchConfig(r=3, m=2, seed=21, mode="turnstile"))
+    data = s.to_bytes() + b"garbage"
+    with pytest.raises(ValueError, match="^WJLS file has trailing bytes: expected 127 bytes, got 134$"):
+        StreamSketch.from_bytes(data)
+
+
+@pytest.mark.parametrize("cut", [5, 30, 31, 31 + 16 * 3 + 8, StreamSketch.serialized_size(3, 2) - 1])
 def test_truncated_sketch_file(cut):
     s = sketch_new(SketchConfig(r=3, m=2, seed=21, mode="turnstile"))
     s.update(5, 1.5)
     expected = 31 if cut < 31 else StreamSketch.serialized_size(3, 2)
     with pytest.raises(ValueError, match=f"^truncated WJLS file: expected {expected} bytes, got {cut}$"):
         StreamSketch.from_bytes(s.to_bytes()[:cut])
+
+
+def test_config_fits_header_fields():
+    SketchConfig(r=2**32 - 1, m=1, seed=0)  # validation only; nothing is allocated
+    for r, m in ((2**32, 1), (1, 2**32)):
+        with pytest.raises(ValueError, match="below 2\\^32"):
+            SketchConfig(r=r, m=m, seed=0)
 
 
 def test_negative_estimates_not_clamped():
