@@ -4,7 +4,6 @@ Euclidean norms, using linear maps into a complex vector space."""
 __version__ = "0.1.0"
 
 from .generators import SparseSpec, gen_pair
-from .hashing import HashPolynomial, hash_eval, hash_new
 from .oracle import (
     WeightedPair,
     distortion,
@@ -24,7 +23,6 @@ from .projection import (
     required_k,
     rho,
     rho_pairwise,
-    sample_matrix,
 )
 from .sketch import (
     ConfigMismatchError,
@@ -35,12 +33,10 @@ from .sketch import (
     plan_sketch,
     sketch_estimate,
     sketch_merge,
-    sketch_new,
 )
 
 __all__ = [
     "ConfigMismatchError",
-    "HashPolynomial",
     "PlanParams",
     "ProjectionMatrix",
     "ProvenanceError",
@@ -54,8 +50,6 @@ __all__ = [
     "exact_rho_expectation",
     "exact_sketch_expectation",
     "gen_pair",
-    "hash_eval",
-    "hash_new",
     "hoeffding_k",
     "new_pair",
     "p_norm",
@@ -65,9 +59,7 @@ __all__ = [
     "required_k",
     "rho",
     "rho_pairwise",
-    "sample_matrix",
     "sketch_estimate",
     "sketch_merge",
-    "sketch_new",
     "weighted_sq_norm",
 ]

@@ -16,10 +16,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .generators import SparseSpec, gen_pair, sparse_csv
+from .generators import gen_pair, sparse_csv
 from .harness import (
-    DESK_SCALE,
-    PAPER_SCALE,
+    SCALES,
     ExperimentConfig,
     render_histogram,
     run_fig1,
@@ -32,7 +31,31 @@ from .harness import (
 from .projection import ProjectionMatrix, ReducedVector, reduce_sparse, rho
 from .sketch import SketchConfig, StreamSketch
 
-_SCALES = {"desk": DESK_SCALE, "paper": PAPER_SCALE}
+#: The experiment flags.  Each subcommand adds only those it reads; a flag
+#: left at None falls back to the scale preset or the ExperimentConfig default.
+_FLAGS = {
+    "--seed": dict(type=int, default=0),
+    "--d": dict(type=int),
+    "--trials": dict(type=int),
+    "--k": dict(type=int, action="append", help="repeatable"),
+    "--l": dict(type=int),
+    "--l-overlap": dict(type=int),
+    "--epsilon": dict(type=float),
+    "--delta": dict(type=float),
+    "--out": dict(type=Path, default=Path("out")),
+    "--scale": dict(choices=tuple(SCALES), default="desk"),
+    "--threads": dict(type=int),
+    "--config": dict(type=Path, help="JSON config file"),
+}
+_FIG_FLAGS = ("--seed", "--d", "--trials", "--k", "--l", "--l-overlap", "--out", "--scale", "--threads", "--config")
+
+#: Keys a --config file may set, with their JSON types (a float also takes
+#: an integer).  The top-level keys are ExperimentConfig fields.
+_CONFIG_TYPES = {
+    "experiment": str, "trials": int, "k_list": list, "spec": dict, "out_dir": str,
+    "master_seed": int, "threads": int, "epsilon": float, "delta": float,
+}
+_SPEC_TYPES = {"d": int, "l_x": int, "l_w": int, "l_overlap": int, "norm_x": float, "seed": int}
 
 
 def _read_pairs(text: str, source) -> tuple[np.ndarray, np.ndarray]:
@@ -56,49 +79,44 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--d", type=int, default=None)
-        p.add_argument("--trials", type=int, default=None)
-        p.add_argument("--k", type=int, action="append", default=None, help="repeatable")
-        p.add_argument("--l", type=int, default=10)
-        p.add_argument("--l-overlap", type=int, default=8)
-        p.add_argument("--epsilon", type=float, default=0.3)
-        p.add_argument("--delta", type=float, default=0.05)
-        p.add_argument("--out", type=Path, default=Path("out"))
-        p.add_argument("--scale", choices=("paper", "desk"), default="desk")
-        p.add_argument("--threads", type=int, default=1)
-        p.add_argument("--config", type=Path, default=None, help="JSON config file")
+    def command(name, help):
+        # No prefix matching, so that a flag another command reads is an
+        # error here: --out on reduce must not be taken for --output.
+        return sub.add_parser(name, help=help, allow_abbrev=False)
 
-    p = sub.add_parser("gen", help="generate a sparse pair as CSV files")
-    common(p)
+    def flags(p, *names):
+        for name in names:
+            p.add_argument(name, **_FLAGS[name])
 
-    p = sub.add_parser("reduce", help="reduce a sparse vector to a WJLR file")
-    common(p)
+    p = command("gen", help="generate a sparse pair as CSV files")
+    flags(p, "--seed", "--d", "--l", "--l-overlap", "--out", "--scale", "--config")
+
+    p = command("reduce", help="reduce a sparse vector to a WJLR file")
+    flags(p, "--seed", "--d", "--scale", "--config")
     p.add_argument("vector", type=Path, help="sparse CSV index,value")
     p.add_argument("--k-dim", type=int, required=True)
     p.add_argument("--output", type=Path, required=True)
 
-    p = sub.add_parser("estimate", help="estimate the weighted squared norm from two WJLR files")
+    p = command("estimate", help="estimate the weighted squared norm from two WJLR files")
     p.add_argument("reduced_x", type=Path)
     p.add_argument("reduced_w", type=Path)
 
-    p = sub.add_parser("sketch", help="sketch a stream from CSV lines t,value")
-    common(p)
+    p = command("sketch", help="sketch a stream from CSV lines t,value")
+    flags(p, "--seed")
     p.add_argument("stream", type=Path, help="CSV file or - for stdin")
     p.add_argument("--mode", choices=("timestep", "turnstile"), default="timestep")
     p.add_argument("--r", type=int, default=13)
     p.add_argument("--m", type=int, default=137)
     p.add_argument("--output", type=Path, required=True)
 
-    for name in ("fig1", "fig2", "fig3", "fig4", "sketch-eval"):
-        p = sub.add_parser(name, help=f"run the {name} experiment")
-        common(p)
+    for name in ("fig1", "fig2", "fig3", "fig4"):
+        flags(command(name, help=f"run the {name} experiment"), *_FIG_FLAGS)
+    p = command("sketch-eval", help="run the sketch-eval experiment")
+    flags(p, "--seed", "--d", "--epsilon", "--delta", "--out", "--scale", "--threads", "--config")
 
-    p = sub.add_parser("verify", help="run the oracle equivalence suite")
-    common(p)
+    flags(command("verify", help="run the oracle equivalence suite"), "--seed")
 
-    p = sub.add_parser("plot", help="render a histogram SVG from an experiment CSV")
+    p = command("plot", help="render a histogram SVG from an experiment CSV")
     p.add_argument("csv", type=Path)
     p.add_argument("--column", default="estimate")
     p.add_argument("--bins", type=int, default=30)
@@ -106,27 +124,40 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_keys(raw, types: dict, where: str):
+    if not isinstance(raw, dict):
+        raise ValueError(f"{where} must be a JSON object")
+    for key, value in raw.items():
+        if key not in types:
+            raise ValueError(f"{where} has unknown key {key!r}")
+        want = (int, float) if types[key] is float else types[key]
+        if isinstance(value, bool) or not isinstance(value, want):
+            raise ValueError(f"{where}: {key} must be {types[key].__name__}, got {type(value).__name__}")
+
+
+def _load_config(path: Path) -> dict:
+    """A --config file's JSON object, with every key and value type checked."""
+    raw = json.loads(path.read_text())
+    _check_keys(raw, _CONFIG_TYPES, f"config {path}")
+    _check_keys(raw.get("spec", {}), _SPEC_TYPES, f"config {path} spec")
+    for k in raw.get("k_list", []):
+        if isinstance(k, bool) or not isinstance(k, int):
+            raise ValueError(f"config {path}: k_list must hold integers, got {type(k).__name__}")
+    return raw
+
+
 def _experiment_config(args) -> ExperimentConfig:
-    scale = _SCALES[args.scale]
-    d = args.d if args.d is not None else scale["d"]
-    k_list = tuple(args.k) if args.k else tuple(scale["k_list"])
-    trials = args.trials if args.trials is not None else scale["trials"]
-    spec = SparseSpec(d=d, l_x=args.l, l_w=args.l, l_overlap=args.l_overlap)
-    cfg = ExperimentConfig(
-        experiment=args.command,
-        trials=trials,
-        k_list=k_list,
-        spec=spec,
-        out_dir=args.out,
-        master_seed=args.seed,
-        threads=args.threads,
-        epsilon=args.epsilon,
-        delta=args.delta,
-    )
+    """The scale preset, then the flags given, then the --config file."""
+    opts = vars(args)
+    fields = {name: opts[name] for name in ("trials", "epsilon", "delta", "threads") if opts.get(name) is not None}
+    if opts.get("k"):
+        fields["k_list"] = tuple(args.k)
+    spec = {"d": opts.get("d"), "l_x": opts.get("l"), "l_w": opts.get("l"), "l_overlap": opts.get("l_overlap")}
+    cfg = ExperimentConfig.preset(args.scale, args.command, out_dir=args.out, master_seed=args.seed, **fields)
+    cfg = replace(cfg, spec=replace(cfg.spec, **{k: v for k, v in spec.items() if v is not None}))
     if args.config:
-        raw = json.loads(args.config.read_text())
-        if "spec" in raw:
-            cfg = replace(cfg, spec=SparseSpec(**raw.pop("spec")))
+        raw = _load_config(args.config)
+        raw["spec"] = replace(cfg.spec, **raw.get("spec", {}))
         if "out_dir" in raw:
             raw["out_dir"] = Path(raw["out_dir"])
         if "k_list" in raw:
@@ -147,12 +178,9 @@ def main(argv=None) -> int:
             (cfg.out_dir / "w.csv").write_text(sparse_csv(pair.w))
             print(f"wrote {cfg.out_dir}/x.csv and {cfg.out_dir}/w.csv")
         elif args.command == "reduce":
-            d = args.d if args.d is not None else _SCALES[args.scale]["d"]
-            seed = args.seed
-            if args.config:
-                raw = json.loads(args.config.read_text())
-                d = raw.get("spec", {}).get("d", d)
-                seed = raw.get("master_seed", seed)
+            raw = _load_config(args.config) if args.config else {}
+            d = raw.get("spec", {}).get("d", args.d if args.d is not None else SCALES[args.scale]["d"])
+            seed = raw.get("master_seed", args.seed)
             idx, vals = _read_pairs(args.vector.read_text(), args.vector)
             gv = reduce_sparse(ProjectionMatrix(k=args.k_dim, d=d, seed=seed), idx, vals)
             args.output.write_bytes(gv.to_bytes())
@@ -180,8 +208,7 @@ def main(argv=None) -> int:
             print(f"wrote {path} and {svg}")
         elif args.command == "sketch-eval":
             cfg = _experiment_config(args)
-            # Desk preset shrinks the seed count the same way it shrinks trials.
-            rows, path = run_sketch_eval(cfg, n_seeds=500 if args.scale == "paper" else 100)
+            rows, path = run_sketch_eval(cfg, n_seeds=SCALES[args.scale]["sketch_seeds"])
             for row in rows:
                 print(f"{row['arm']}: success_rate={row['success_rate']}")
             print(f"wrote {path}")

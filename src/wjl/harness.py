@@ -12,7 +12,7 @@ import io
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
 
@@ -22,7 +22,7 @@ from . import __version__
 from ._mix import mix2
 from .generators import SparseSpec, gen_pair
 from .oracle import WeightedPair, distortion, exact_rho_expectation, exact_sketch_expectation, weighted_sq_norm
-from .projection import reduce_sparse, rho, sample_matrix
+from .projection import ProjectionMatrix, reduce_sparse, rho
 from .sketch import SketchConfig, StreamSketch, ingest_pair, new_pair, plan_sketch, sketch_estimate
 
 # Seed-stream tags for deriving per-purpose seeds from the master seed.
@@ -31,16 +31,21 @@ _TAG_MATRIX = 2
 _TAG_VECTOR = 3
 _TAG_SKETCH = 4
 
-DESK_SCALE = {"d": 2_000, "k_list": (100, 1_000, 10_000), "trials": 100}
-PAPER_SCALE = {"d": 200_000, "k_list": (100, 1_000, 10_000, 100_000), "trials": 250}
+#: The experiment grid of each --scale: the paper's, and a desk-sized one on
+#: which the full suite runs in minutes.  sketch_seeds is the number of
+#: sketches per arm of run_sketch_eval.
+SCALES = {
+    "desk": {"d": 2_000, "k_list": (100, 1_000, 10_000), "trials": 100, "sketch_seeds": 100},
+    "paper": {"d": 200_000, "k_list": (100, 1_000, 10_000, 100_000), "trials": 250, "sketch_seeds": 500},
+}
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     experiment: str
-    trials: int = 250
-    k_list: tuple[int, ...] = (100, 1_000, 10_000, 100_000)
-    spec: SparseSpec = field(default_factory=lambda: SparseSpec(d=200_000, l_x=10, l_w=10, l_overlap=8))
+    trials: int
+    k_list: tuple[int, ...]
+    spec: SparseSpec
     out_dir: Path = Path(".")
     master_seed: int = 0
     threads: int = 1
@@ -52,16 +57,12 @@ class ExperimentConfig:
             raise ValueError("trials must be positive")
 
     @classmethod
-    def desk(cls, experiment: str, **overrides) -> "ExperimentConfig":
-        """Laptop-friendly preset: d=2e3, k up to 1e4, 100 trials."""
-        spec = SparseSpec(d=DESK_SCALE["d"], l_x=10, l_w=10, l_overlap=8)
-        cfg = cls(
-            experiment=experiment,
-            trials=DESK_SCALE["trials"],
-            k_list=DESK_SCALE["k_list"],
-            spec=spec,
-        )
-        return replace(cfg, **overrides)
+    def preset(cls, scale: str, experiment: str, **overrides) -> "ExperimentConfig":
+        """The grid of SCALES[scale] for a 10-sparse pair overlapping in 8, then overrides."""
+        grid = SCALES[scale]
+        spec = SparseSpec(d=grid["d"], l_x=10, l_w=10, l_overlap=8)
+        fields = dict(experiment=experiment, trials=grid["trials"], k_list=grid["k_list"], spec=spec)
+        return cls(**(fields | overrides))
 
 
 @dataclass
@@ -94,16 +95,25 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def records_to_csv(records: list[TrialRecord], meta: dict) -> str:
-    """Serialize records with a leading metadata comment line."""
+def _csv(meta: dict, columns, rows) -> str:
+    """A metadata comment line (sorted-key JSON plus library_version), a
+    header of the columns, then one line per row of values."""
     buf = io.StringIO()
     meta = dict(meta, library_version=__version__)
     buf.write("# " + json.dumps(meta, sort_keys=True, default=str) + "\n")
-    buf.write(",".join(_CSV_COLUMNS) + "\n")
-    for rec in sorted(records, key=lambda r: (r.arm, r.k, r.trial_index)):
-        row = [rec.trial_index, rec.k, rec.arm, rec.estimate, rec.true_value, rec.ratio, rec.distortion]
+    buf.write(",".join(columns) + "\n")
+    for row in rows:
         buf.write(",".join(_fmt(v) for v in row) + "\n")
     return buf.getvalue()
+
+
+def records_to_csv(records: list[TrialRecord], meta: dict) -> str:
+    """Serialize records with a leading metadata comment line."""
+    rows = (
+        [rec.trial_index, rec.k, rec.arm, rec.estimate, rec.true_value, rec.ratio, rec.distortion]
+        for rec in sorted(records, key=lambda r: (r.arm, r.k, r.trial_index))
+    )
+    return _csv(meta, _CSV_COLUMNS, rows)
 
 
 def read_csv(text: str) -> tuple[dict, list[dict]]:
@@ -144,7 +154,7 @@ def _sparse(pair: WeightedPair) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
 def _rho_trial(d: int, k: int, seed: int, pair: WeightedPair) -> tuple[float, float]:
     """Estimate the pair's weighted squared norm with a fresh matrix; returns (estimate, ms)."""
     start = time.perf_counter()
-    A = sample_matrix(d, k, seed)
+    A = ProjectionMatrix(k=k, d=d, seed=seed)
     ix, vx, iw, vw = _sparse(pair)
     est = rho(reduce_sparse(A, ix, vx), reduce_sparse(A, iw, vw))
     return est, (time.perf_counter() - start) * 1e3
@@ -162,23 +172,30 @@ def _config_meta(cfg: ExperimentConfig, **extra) -> dict:
     return meta
 
 
-def run_fig1(cfg: ExperimentConfig) -> tuple[list[TrialRecord], Path]:
-    """Fixed pair, fresh matrix per trial, all k in the grid."""
-    pair = gen_pair(replace(cfg.spec, seed=mix2(cfg.master_seed, _TAG_PAIR, 0)))
+def _fixed_pair_arm(
+    cfg: ExperimentConfig, arm: str, seed_offset: int, pair: WeightedPair, k: int
+) -> list[TrialRecord]:
+    """cfg.trials estimates of one pair at one k, each with a fresh matrix
+    whose seed is drawn at index seed_offset + trial."""
     truth = weighted_sq_norm(pair)
     dist = distortion(pair)
 
-    def task(arg):
-        ki, trial = arg
-        k = cfg.k_list[ki]
-        seed = mix2(cfg.master_seed, _TAG_MATRIX, ki * cfg.trials + trial)
-        est, ms = _rho_trial(cfg.spec.d, k, seed, pair)
-        return TrialRecord(trial, k, est, truth, dist, ms)
+    def task(trial):
+        seed = mix2(cfg.master_seed, _TAG_MATRIX, seed_offset + trial)
+        est, ms = _rho_trial(len(pair.x), k, seed, pair)
+        return TrialRecord(trial, k, est, truth, dist, ms, arm=arm)
 
-    args = [(ki, t) for ki in range(len(cfg.k_list)) for t in range(cfg.trials)]
-    records = _map(cfg, task, args)
-    path = _write(cfg, "fig1.csv", records_to_csv(records, _config_meta(cfg, true_value=truth)))
-    return records, path
+    return _map(cfg, task, list(range(cfg.trials)))
+
+
+def run_fig1(cfg: ExperimentConfig) -> tuple[list[TrialRecord], Path]:
+    """Fixed pair, fresh matrix per trial, all k in the grid."""
+    pair = gen_pair(replace(cfg.spec, seed=mix2(cfg.master_seed, _TAG_PAIR, 0)))
+    records = []
+    for ki, k in enumerate(cfg.k_list):
+        records.extend(_fixed_pair_arm(cfg, "", ki * cfg.trials, pair, k))
+    meta = _config_meta(cfg, true_value=weighted_sq_norm(pair))
+    return records, _write(cfg, "fig1.csv", records_to_csv(records, meta))
 
 
 def run_fig2(cfg: ExperimentConfig) -> tuple[list[TrialRecord], Path]:
@@ -192,11 +209,7 @@ def run_fig2(cfg: ExperimentConfig) -> tuple[list[TrialRecord], Path]:
         pair_t = gen_pair(replace(cfg.spec, seed=mix2(cfg.master_seed, _TAG_VECTOR, trial)))
         pair = WeightedPair(pair_t.x, w_pair.w)  # overlap of this pair varies with the draw
         truth = weighted_sq_norm(pair)
-        start = time.perf_counter()
-        A = sample_matrix(cfg.spec.d, k, matrix_seed)
-        ix, vx, iw, vw = _sparse(pair)
-        est = rho(reduce_sparse(A, ix, vx), reduce_sparse(A, iw, vw))
-        ms = (time.perf_counter() - start) * 1e3
+        est, ms = _rho_trial(cfg.spec.d, k, matrix_seed, pair)
         return TrialRecord(trial, k, est, truth, distortion(pair) if truth else float("nan"), ms)
 
     args = [(ki, t) for ki in range(len(cfg.k_list)) for t in range(cfg.trials)]
@@ -205,28 +218,13 @@ def run_fig2(cfg: ExperimentConfig) -> tuple[list[TrialRecord], Path]:
     return records, path
 
 
-def _fixed_pair_arm(
-    cfg: ExperimentConfig, arm: str, arm_tag: int, spec: SparseSpec, k: int
-) -> list[TrialRecord]:
-    pair = gen_pair(spec)
-    truth = weighted_sq_norm(pair)
-    dist = distortion(pair)
-
-    def task(trial):
-        seed = mix2(cfg.master_seed, _TAG_MATRIX, arm_tag * 1_000_000 + trial)
-        est, ms = _rho_trial(spec.d, k, seed, pair)
-        return TrialRecord(trial, k, est, truth, dist, ms, arm=arm)
-
-    return _map(cfg, task, list(range(cfg.trials)))
-
-
 def run_fig3(cfg: ExperimentConfig) -> tuple[list[TrialRecord], Path]:
     """Two arms differing only in support overlap (2 vs 10)."""
     k = max(cfg.k_list)
     records = []
     for overlap in (2, 10):
         spec = replace(cfg.spec, l_overlap=overlap, seed=mix2(cfg.master_seed, _TAG_PAIR, overlap))
-        records.extend(_fixed_pair_arm(cfg, f"overlap{overlap}", overlap, spec, k))
+        records.extend(_fixed_pair_arm(cfg, f"overlap{overlap}", overlap * 1_000_000, gen_pair(spec), k))
     path = _write(cfg, "fig3.csv", records_to_csv(records, _config_meta(cfg, k=k)))
     return records, path
 
@@ -243,7 +241,7 @@ def run_fig4(cfg: ExperimentConfig) -> tuple[list[TrialRecord], Path]:
             l_overlap=int(0.8 * l),
             seed=mix2(cfg.master_seed, _TAG_PAIR, l),
         )
-        records.extend(_fixed_pair_arm(cfg, f"l{l}", l, spec, k))
+        records.extend(_fixed_pair_arm(cfg, f"l{l}", l * 1_000_000, gen_pair(spec), k))
     path = _write(cfg, "fig4.csv", records_to_csv(records, _config_meta(cfg, k=k)))
     return records, path
 
@@ -271,7 +269,7 @@ def sketch_success_rate(
     return hits / n_seeds
 
 
-def run_sketch_eval(cfg: ExperimentConfig, n_seeds: int = 500) -> tuple[list[dict], Path]:
+def run_sketch_eval(cfg: ExperimentConfig, n_seeds: int = SCALES["paper"]["sketch_seeds"]) -> tuple[list[dict], Path]:
     """Empirical (epsilon, delta) check of the planned sketch dimensions.
 
     Includes a deliberately undersized m/4 arm as a sanity direction.
@@ -296,15 +294,9 @@ def run_sketch_eval(cfg: ExperimentConfig, n_seeds: int = 500) -> tuple[list[dic
                 "sketch_bytes": StreamSketch.serialized_size(r, m_used),
             }
         )
-    buf = io.StringIO()
     meta = _config_meta(cfg, true_value=weighted_sq_norm(pair))
-    meta["library_version"] = __version__
-    buf.write("# " + json.dumps(meta, sort_keys=True, default=str) + "\n")
-    cols = list(rows[0])
-    buf.write(",".join(cols) + "\n")
-    for row in rows:
-        buf.write(",".join(_fmt(row[c]) for c in cols) + "\n")
-    path = _write(cfg, "sketch_eval.csv", buf.getvalue())
+    text = _csv(meta, list(rows[0]), [list(row.values()) for row in rows])
+    path = _write(cfg, "sketch_eval.csv", text)
     return rows, path
 
 
@@ -330,7 +322,7 @@ def run_verify(seed: int = 0, rel_tol: float = 1e-9) -> list[tuple[str, bool]]:
         x1 = float(rng.standard_normal())
         w1 = float(abs(rng.standard_normal()) + 0.1)
         k = int(rng.integers(1, 64))
-        A = sample_matrix(1, k, int(rng.integers(0, 2**63)))
+        A = ProjectionMatrix(k=k, d=1, seed=int(rng.integers(0, 2**63)))
         est = rho(reduce_sparse(A, [0], [x1]), reduce_sparse(A, [0], [w1]))
         if abs(est - (x1 * w1) ** 2) > 1e-12 * (x1 * w1) ** 2:
             ok = False

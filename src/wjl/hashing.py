@@ -11,12 +11,9 @@ p % 4 == 3; the deviation is at most 4/p per value and is ignored.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from ._mix import GOLDEN, U64_MASK, finalize, finalize_array
-from .units import ComplexUnit
+from ._mix import GOLDEN, finalize_array
 
 #: Mersenne prime 2^61 - 1.
 MERSENNE_P = (1 << 61) - 1
@@ -92,41 +89,13 @@ def mulmod61(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _canonical61(_fold61(out, tmp), tmp)
 
 
-@dataclass(frozen=True)
-class HashPolynomial:
-    """Coefficients (a0..a7) of one degree-7 polynomial over GF(2^61 - 1)."""
-
-    coefficients: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.coefficients) != 8:
-            raise ValueError("expected 8 coefficients")
-        if any(not 0 <= c < MERSENNE_P for c in self.coefficients):
-            raise ValueError("coefficients must lie in [0, p)")
-
-
-def hash_new(seed: int) -> HashPolynomial:
-    """Derive a polynomial deterministically from a 64-bit seed."""
-    return HashPolynomial(tuple(int(c) for c in coefficients_for_seeds(np.array([seed], dtype=np.uint64))[0]))
-
-
 def coefficients_for_seeds(seeds: np.ndarray) -> np.ndarray:
-    """Vectorized hash_new: coefficient arrays of shape seeds.shape + (8,)."""
+    """Coefficients (a0..a7) of one polynomial per 64-bit seed: shape seeds.shape + (8,)."""
     seeds = np.asarray(seeds, dtype=np.uint64)
     c = np.arange(1, 9, dtype=np.uint64) * np.uint64(GOLDEN)
     z = finalize_array(seeds[..., None] + c)
     # Modular reduction of a uniform 64-bit value; bias is O(2^-58).
     return z % _P
-
-
-def hash_eval(h: HashPolynomial, t: int) -> ComplexUnit:
-    """Evaluate the polynomial at t by Horner's rule and map to a unit."""
-    if not 0 <= t < MERSENNE_P:
-        raise ValueError("evaluation point must lie in [0, p)")
-    acc = 0
-    for c in reversed(h.coefficients):
-        acc = (acc * t + c) % MERSENNE_P
-    return ComplexUnit(acc & 3)
 
 
 def hash_eval_exponents(coefficients: np.ndarray, t) -> np.ndarray:

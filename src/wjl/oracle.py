@@ -2,7 +2,9 @@
 
 The expectation oracles enumerate every assignment of units exhaustively
 (4^d cases), so they are exact up to floating-point rounding and completely
-independent of the seeded generation paths they are used to check.
+independent of the seeded generation paths they are used to check.  The
+scalar hash reference evaluates one polynomial with Python integers, as a
+check on the vectorized Horner kernel.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .hashing import MERSENNE_P, coefficients_for_seeds
 from .units import UNIT_VALUES
 
 #: Largest dimension accepted by the enumeration oracles (4^8 = 65536 cases).
@@ -83,3 +86,31 @@ def exact_sketch_expectation(x: np.ndarray, w: np.ndarray) -> float:
     cx = rows @ x
     cw = rows @ w
     return float(np.mean(((cx * cw) ** 2).real))
+
+
+@dataclass(frozen=True)
+class HashPolynomial:
+    """Coefficients (a0..a7) of one degree-7 polynomial over GF(2^61 - 1)."""
+
+    coefficients: tuple[int, ...]
+
+    def __post_init__(self):
+        if len(self.coefficients) != 8:
+            raise ValueError("expected 8 coefficients")
+        if any(not 0 <= c < MERSENNE_P for c in self.coefficients):
+            raise ValueError("coefficients must lie in [0, p)")
+
+
+def hash_new(seed: int) -> HashPolynomial:
+    """The polynomial that coefficients_for_seeds derives from a 64-bit seed."""
+    return HashPolynomial(tuple(int(c) for c in coefficients_for_seeds(np.array([seed], dtype=np.uint64))[0]))
+
+
+def hash_eval(h: HashPolynomial, t: int) -> int:
+    """Evaluate the polynomial at t by Horner's rule; returns the unit exponent."""
+    if not 0 <= t < MERSENNE_P:
+        raise ValueError("evaluation point must lie in [0, p)")
+    acc = 0
+    for c in reversed(h.coefficients):
+        acc = (acc * t + c) % MERSENNE_P
+    return acc & 3

@@ -69,10 +69,6 @@ class ProjectionMatrix:
         return UNIT_VALUES[e]
 
 
-def sample_matrix(d: int, k: int, seed: int) -> ProjectionMatrix:
-    return ProjectionMatrix(k=k, d=d, seed=seed)
-
-
 @dataclass
 class ReducedVector:
     """The compressed representation A x / sqrt(k), tagged with provenance."""

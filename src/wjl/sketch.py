@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -98,35 +98,17 @@ def _hash_sums(coefficients: np.ndarray, ts: np.ndarray, *vectors: np.ndarray) -
 class StreamSketch:
     """Single-vector sketch state: counters plus the cell hash polynomials."""
 
-    def __init__(
-        self,
-        config: SketchConfig,
-        _coefficients: Optional[np.ndarray] = None,
-        hash_override: Optional[Callable[[int], np.ndarray]] = None,
-    ):
-        """hash_override, when given, maps an update key t to an (r, m) array
-        of unit exponents in place of the polynomial hashes.  Test/oracle hook
-        only; overridden sketches cannot be serialized.
-        """
+    def __init__(self, config: SketchConfig, _coefficients: Optional[np.ndarray] = None):
         self.config = config
         self.counters = np.zeros((config.r, config.m), dtype=np.complex128)
         self.items_seen = 0
-        self._override = hash_override
-        if hash_override is not None:
-            self._coefficients = None
-        elif _coefficients is not None:
-            self._coefficients = _coefficients
-        else:
-            self._coefficients = coefficients_for_seeds(cell_seeds(config))
+        if _coefficients is None:
+            _coefficients = coefficients_for_seeds(cell_seeds(config))
+        self._coefficients = _coefficients
 
     def spawn(self) -> "StreamSketch":
         """Empty sketch sharing this sketch's config and hash polynomials."""
-        return StreamSketch(self.config, _coefficients=self._coefficients, hash_override=self._override)
-
-    def _exponents(self, t: int) -> np.ndarray:
-        if self._override is not None:
-            return np.asarray(self._override(t))
-        return hash_eval_exponents(self._coefficients, t)
+        return StreamSketch(self.config, _coefficients=self._coefficients)
 
     def update(self, t: int, v: float):
         """Add v * h_ij(t) to every counter.
@@ -134,17 +116,11 @@ class StreamSketch:
         In timestep mode t is the arrival position; in turnstile mode t is
         the coordinate index and v the increment.
         """
-        self.counters += v * UNIT_VALUES[self._exponents(t)]
-        self.items_seen += 1
+        self.update_many([t], [v])
 
     def update_many(self, ts: np.ndarray, vs: np.ndarray):
         """Vectorized sequence of updates (equivalent to update() in a loop)."""
-        ts = np.asarray(ts)
         vs = np.asarray(vs, dtype=np.float64)
-        if self._override is not None:
-            for t, v in zip(ts, vs):
-                self.update(int(t), float(v))
-            return
         (sums,) = _hash_sums(self._coefficients, ts, vs)
         self.counters += sums
         self.items_seen += len(vs)
@@ -158,8 +134,6 @@ class StreamSketch:
         (re, im) float64 pairs.  The hash coefficients are not stored: they
         are a function of the seed, and from_bytes derives them again.
         """
-        if self._override is not None:
-            raise ValueError("sketches with overridden hashes cannot be serialized")
         header = SKETCH_MAGIC + struct.pack(
             "<HBIIQQ",
             SKETCH_VERSION,
@@ -195,10 +169,6 @@ class StreamSketch:
     @staticmethod
     def serialized_size(r: int, m: int) -> int:
         return 31 + 16 * r * m
-
-
-def sketch_new(config: SketchConfig) -> StreamSketch:
-    return StreamSketch(config)
 
 
 def new_pair(config: SketchConfig) -> tuple[StreamSketch, StreamSketch]:
@@ -266,18 +236,13 @@ def plan_sketch(epsilon: float, delta: float, distortion: float) -> tuple[int, i
 def cell_estimates(x: np.ndarray, w: np.ndarray, seeds: np.ndarray) -> np.ndarray:
     """Single-cell turnstile estimates Re[(C_x C_w)^2], one per seed.
 
-    Vectorized across seeds for variance experiments; matches building an
-    r=1, m=1 turnstile sketch per seed and estimating (see tests).
+    Vectorized across seeds for variance experiments: the seeds are the cells
+    of one _hash_sums call over keys 0..d-1, so each estimate is bit-identical
+    to an r=1, m=1 turnstile sketch pair fed x and w (see tests).
     """
     x = np.asarray(x, dtype=np.float64)
     w = np.asarray(w, dtype=np.float64)
-    seeds = np.asarray(seeds, dtype=np.uint64)
     # Cell (0, 0) mixing degenerates to finalize(seed), see cell_seeds.
-    coeffs = coefficients_for_seeds(finalize_array(seeds))  # (n, 8)
-    cx = np.zeros(len(seeds), dtype=np.complex128)
-    cw = np.zeros(len(seeds), dtype=np.complex128)
-    for t in range(len(x)):
-        u = UNIT_VALUES[hash_eval_exponents(coeffs, t)]
-        cx += x[t] * u
-        cw += w[t] * u
+    coeffs = coefficients_for_seeds(finalize_array(np.asarray(seeds, dtype=np.uint64)))
+    cx, cw = _hash_sums(coeffs, np.arange(len(x)), x, w)
     return ((cx * cw) ** 2).real

@@ -1,14 +1,11 @@
 """Exact arithmetic on the fourth roots of unity {1, i, -1, -i}.
 
 Units are encoded by their exponent e, with the unit equal to i**e.  Array
-code elsewhere works directly on small integer exponent arrays and uses
-``UNIT_VALUES`` as a lookup table; the ``ComplexUnit`` enum is the scalar
-counterpart.
+code works directly on small integer exponent arrays and uses
+``UNIT_VALUES`` as a lookup table.
 """
 
 from __future__ import annotations
-
-from enum import IntEnum
 
 import numpy as np
 
@@ -16,42 +13,3 @@ import numpy as np
 #: each other and by reals is exact in IEEE double arithmetic (it only
 #: permutes and negates components).
 UNIT_VALUES = np.array([1.0 + 0.0j, 0.0 + 1.0j, -1.0 + 0.0j, 0.0 - 1.0j])
-
-
-class ComplexUnit(IntEnum):
-    ONE = 0
-    I = 1
-    MINUS_ONE = 2
-    MINUS_I = 3
-
-    @property
-    def value_complex(self) -> complex:
-        return complex(UNIT_VALUES[int(self)])
-
-    @classmethod
-    def from_complex(cls, z: complex) -> "ComplexUnit":
-        for u in cls:
-            if u.value_complex == z:
-                return u
-        raise ValueError(f"{z!r} is not a fourth root of unity")
-
-
-def unit_mul(a: ComplexUnit, b: ComplexUnit) -> ComplexUnit:
-    return ComplexUnit((int(a) + int(b)) % 4)
-
-
-def unit_axpy(acc: complex, u: ComplexUnit, s: float) -> complex:
-    """Return acc + s * u, selecting on the 2-bit exponent.
-
-    Adds or subtracts s on the real or imaginary component directly, so the
-    result is bit-identical to acc + (u as complex) * s with no rounding from
-    multiplications by 0 or +/-1.
-    """
-    e = int(u)
-    if e == 0:
-        return complex(acc.real + s, acc.imag)
-    if e == 1:
-        return complex(acc.real, acc.imag + s)
-    if e == 2:
-        return complex(acc.real - s, acc.imag)
-    return complex(acc.real, acc.imag - s)

@@ -17,7 +17,7 @@ from wjl.oracle import (
     exact_sketch_expectation,
     weighted_sq_norm,
 )
-from wjl.projection import reduce, reduce_sparse, rho, rho_pairwise, sample_matrix
+from wjl.projection import ProjectionMatrix, reduce, reduce_sparse, rho, rho_pairwise
 from wjl.sketch import cell_estimates, plan_sketch
 from wjl.units import UNIT_VALUES
 
@@ -44,7 +44,7 @@ def test_c01_d1_exactness():
         w1 = float(np.abs(rng.standard_normal()) + 0.05)
         k = int(rng.integers(1, 129))
         seed = int(rng.integers(0, 2**63))
-        A = sample_matrix(1, k, seed)
+        A = ProjectionMatrix(k=k, d=1, seed=seed)
         est = rho(reduce_sparse(A, [0], [x1]), reduce_sparse(A, [0], [w1]))
         truth = (x1 * w1) ** 2
         worst = max(worst, abs(est - truth) / truth)
@@ -72,14 +72,14 @@ def test_c03_monte_carlo_unbiasedness():
     n = 20_000
     ests = np.empty(n)
     for s in range(n):
-        A = sample_matrix(1000, 64, s)
+        A = ProjectionMatrix(k=64, d=1000, seed=s)
         ests[s] = rho(reduce_sparse(A, ix, vx), reduce_sparse(A, iw, vw))
     z = abs(ests.mean() - truth) / (ests.std(ddof=1) / np.sqrt(n))
     _report(3, "Monte-Carlo unbiasedness d=1000 k=64 N=20000", z <= 4.0, f"|z| = {z:.2f}")
 
 
 def test_c04_concentration_scaling(tmp_path):
-    cfg = ExperimentConfig.desk("fig1", trials=250, out_dir=tmp_path, master_seed=104)
+    cfg = ExperimentConfig.preset("desk", "fig1", trials=250, out_dir=tmp_path, master_seed=104)
     records, _ = run_fig1(cfg)
     by_k = {k: np.array([r.estimate for r in records if r.k == k]) for k in cfg.k_list}
     truth = records[0].true_value
@@ -92,7 +92,7 @@ def test_c04_concentration_scaling(tmp_path):
 
 
 def test_c05_distortion_dependence(tmp_path):
-    cfg = ExperimentConfig.desk("fig3", trials=250, out_dir=tmp_path, master_seed=105)
+    cfg = ExperimentConfig.preset("desk", "fig3", trials=250, out_dir=tmp_path, master_seed=105)
     records, _ = run_fig3(cfg)
     stats = {}
     for arm in ("overlap2", "overlap10"):
@@ -112,7 +112,7 @@ def test_c05_distortion_dependence(tmp_path):
 
 
 def test_c06_density_dependence(tmp_path):
-    cfg = ExperimentConfig.desk("fig4", trials=250, out_dir=tmp_path, master_seed=106)
+    cfg = ExperimentConfig.preset("desk", "fig4", trials=250, out_dir=tmp_path, master_seed=106)
     records, _ = run_fig4(cfg)
     stds = []
     for arm in ("l10", "l30", "l100"):
@@ -129,7 +129,7 @@ def test_c07_pairwise_corollary():
         d, k = 40, 32
         x, y = rng.standard_normal(d), rng.standard_normal(d)
         w = np.abs(rng.standard_normal(d))
-        A = sample_matrix(d, k, int(rng.integers(0, 2**63)))
+        A = ProjectionMatrix(k=k, d=d, seed=int(rng.integers(0, 2**63)))
         gx, gy, gw = reduce(A, x), reduce(A, y), reduce(A, w)
         a = rho_pairwise(gx, gy, gw)
         b = rho(reduce(A, x - y), gw)
@@ -142,7 +142,7 @@ def test_c07_pairwise_corollary():
     truth = weighted_sq_norm(WeightedPair(x - y, w))
     ests = np.empty(n)
     for s in range(n):
-        A = sample_matrix(d, k, s)
+        A = ProjectionMatrix(k=k, d=d, seed=s)
         ests[s] = rho_pairwise(reduce(A, x), reduce(A, y), reduce(A, w))
     z = abs(ests.mean() - truth) / (ests.std(ddof=1) / np.sqrt(n))
     _report(

@@ -14,7 +14,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wjl import _mix
-from wjl.hashing import MERSENNE_P, HashPolynomial, hash_eval, hash_eval_exponents
+from wjl.hashing import MERSENNE_P, hash_eval_exponents
+from wjl.oracle import HashPolynomial, hash_eval
 from wjl.projection import ProjectionMatrix, reduce, reduce_sparse
 from wjl.sketch import SketchConfig, StreamSketch, ingest_pair, new_pair
 from wjl.units import UNIT_VALUES

@@ -250,3 +250,104 @@ def test_cli_rejects_index_beyond_64_bits(tmp_path, capsys, command):
     assert main([command, str(src), *extra, "--output", str(tmp_path / "out.bin")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("command, text, message", [
+    ("fig1", '{"foo": 1}', " has unknown key 'foo'"),
+    ("reduce", "[1, 2]", " must be a JSON object"),
+    ("gen", "[1, 2]", " must be a JSON object"),
+    ("fig2", '{"trials": "5"}', ": trials must be int, got str"),
+    ("fig3", '{"spec": {"d": 300, "l": 4}}', " spec has unknown key 'l'"),
+    ("sketch-eval", '{"epsilon": true}', ": epsilon must be float, got bool"),
+    ("fig4", '{"k_list": [16, 1.5]}', ": k_list must hold integers, got float"),
+])
+def test_cli_rejects_bad_config_files(tmp_path, capsys, command, text, message):
+    from wjl.cli import main
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    args = [command, "--config", str(cfg)]
+    if command == "reduce":
+        vec = tmp_path / "x.csv"
+        vec.write_text("1,0.5\n")
+        args += [str(vec), "--k-dim", "8", "--output", str(tmp_path / "x.wjlr")]
+    else:
+        args += ["--out", str(tmp_path / "out")]
+    assert main(args) == 2
+    assert capsys.readouterr().err == f"error: config {cfg}{message}\n"
+    assert not (tmp_path / "out").exists() and not (tmp_path / "x.wjlr").exists()
+
+
+def test_config_keys_are_the_config_fields():
+    from dataclasses import fields
+
+    from wjl.cli import _CONFIG_TYPES, _SPEC_TYPES
+
+    assert set(_CONFIG_TYPES) == {f.name for f in fields(ExperimentConfig)}
+    assert set(_SPEC_TYPES) == {f.name for f in fields(SparseSpec)}
+
+
+def test_cli_config_file_overrides_flags(tmp_path):
+    from wjl.cli import main
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"trials": 3, "k_list": [8], "spec": {"d": 40}, "master_seed": 9}')
+    assert main(["fig1", "--trials", "50", "--d", "300", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    meta, rows = read_csv((tmp_path / "fig1.csv").read_text())
+    assert (meta["trials"], meta["k_list"], meta["spec"]["d"], meta["master_seed"]) == (3, [8], 40, 9)
+    assert meta["spec"]["l_x"] == 10 and len(rows) == 3
+
+
+@pytest.mark.parametrize("args", [
+    ["sketch", "s.csv", "--output", "s.wjls", "--trials", "7"],
+    ["sketch", "s.csv", "--output", "s.wjls", "--epsilon", "9"],
+    ["sketch", "s.csv", "--output", "s.wjls", "--scale", "paper"],
+    ["sketch", "s.csv", "--output", "s.wjls", "--config", "x.json"],
+    ["verify", "--d", "10"],
+    ["reduce", "x.csv", "--k-dim", "8", "--output", "x.wjlr", "--threads", "2"],
+    ["reduce", "x.csv", "--k-dim", "8", "--output", "x.wjlr", "--out", "o"],
+    ["sketch", "s.csv", "--output", "s.wjls", "--out", "o"],
+    ["gen", "--trials", "3"],
+    ["gen", "--threads", "2"],
+    ["fig1", "--epsilon", "0.5"],
+    ["fig4", "--delta", "0.5"],
+    ["sketch-eval", "--k", "16"],
+    ["sketch-eval", "--l-overlap", "1"],
+])
+def test_cli_rejects_flags_a_command_does_not_read(tmp_path, capsys, args):
+    from wjl.cli import main
+
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+# SHA-256 of the outputs of the commands below, recorded before the fig runners
+# were merged into one trial runner and the CSV writers into one; any change
+# to the random streams, the CSV or the SVG shows here.
+_RECORDED = {
+    "fig1.csv": "e68953d45c4c74359f8462e828e82c0b0b68192a62f8b29f82718daaa051ca0d",
+    "fig1.svg": "7d10a3fa630097f1bf782f3b6d78a670aecbb1b5c0e31bd57e97e0c7b4eecb6d",
+    "fig2.csv": "b49ded162eb3b294abb04ad24615df9678f73e929114de93ae69a0c39d2f1678",
+    "fig2.svg": "73ad8a348882d1dda8cde1959ae36cb5fe3b5c87c715f9927cd350c311bac340",
+    "fig3.csv": "2bb78e919e65fc9b4879ec3b26e8f1ad2c0936f5631c931aea296b3e2630fab3",
+    "fig3.svg": "10434faad4c54200153ca6ebd440db8e44d3d6d646dfd0017b2377043a0cd7bd",
+    "fig4.csv": "3622b50b67b9f02911ee17f952655b6471a2fdfd5c4f7a4b6d639fd613dc03ac",
+    "fig4.svg": "ea596e43de61695363df175eb53662b9e7da4669b65cc957debb7254ec70c5a8",
+    "sketch_eval.csv": "01c63ddb4b2f651a452600f1b8aa3a6fba46c6deee4ed898fbf7bfe3f0d1fe0a",
+}
+
+
+def test_cli_outputs_match_recorded_hashes(tmp_path, capsys):
+    import hashlib
+
+    from wjl.cli import main
+
+    for fig in ("fig1", "fig2", "fig3", "fig4"):
+        args = [fig, "--d", "200", "--trials", "20", "--k", "16", "--k", "64", "--seed", "5"]
+        assert main([*args, "--out", str(tmp_path)]) == 0
+    assert main(["sketch-eval", "--epsilon", "1.0", "--delta", "0.3", "--seed", "5", "--out", str(tmp_path)]) == 0
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(tmp_path.iterdir())}
+    assert got == _RECORDED

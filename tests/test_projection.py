@@ -17,7 +17,6 @@ from wjl.projection import (
     required_k,
     rho,
     rho_pairwise,
-    sample_matrix,
 )
 from wjl.units import UNIT_VALUES
 
@@ -31,32 +30,32 @@ def _manual_reduced(exponent_rows, x, seed=0):
 
 
 def test_sample_matrix_deterministic():
-    a = sample_matrix(3, 2, 42)
-    b = sample_matrix(3, 2, 42)
+    a = ProjectionMatrix(k=2, d=3, seed=42)
+    b = ProjectionMatrix(k=2, d=3, seed=42)
     assert np.array_equal(a.toarray(), b.toarray())
 
 
 def test_sample_matrix_rejects_bad_dims():
     with pytest.raises(ValueError):
-        sample_matrix(0, 1, 0)
+        ProjectionMatrix(k=1, d=0, seed=0)
     with pytest.raises(ValueError):
-        sample_matrix(1, 0, 0)
+        ProjectionMatrix(k=0, d=1, seed=0)
 
 
 def test_entry_histogram_uniform():
-    A = sample_matrix(10**6, 1, 7)
+    A = ProjectionMatrix(k=1, d=10**6, seed=7)
     e = A.entry_exponents(np.zeros(10**6, dtype=np.uint64), np.arange(10**6, dtype=np.uint64))
     freqs = np.bincount(e, minlength=4) / 1e6
     assert np.all(freqs >= 0.245) and np.all(freqs <= 0.255)
 
 
 def test_seed_coverage_single_entry():
-    seen = {int(sample_matrix(1, 1, s).entry_exponents(0, 0)) for s in range(64)}
+    seen = {int(ProjectionMatrix(k=1, d=1, seed=s).entry_exponents(0, 0)) for s in range(64)}
     assert seen == {0, 1, 2, 3}
 
 
 def test_reduce_basis_vector_selects_column():
-    A = sample_matrix(5, 4, 11)
+    A = ProjectionMatrix(k=4, d=5, seed=11)
     e1 = np.zeros(5)
     e1[0] = 1.0
     g = reduce(A, e1)
@@ -65,19 +64,19 @@ def test_reduce_basis_vector_selects_column():
 
 
 def test_reduce_zero_vector():
-    A = sample_matrix(7, 3, 1)
+    A = ProjectionMatrix(k=3, d=7, seed=1)
     assert np.all(reduce(A, np.zeros(7)).values == 0)
 
 
 def test_reduce_dimension_mismatch():
-    A = sample_matrix(7, 3, 1)
+    A = ProjectionMatrix(k=3, d=7, seed=1)
     with pytest.raises(ValueError):
         reduce(A, np.zeros(6))
 
 
 def test_reduce_linearity():
     rng = np.random.default_rng(0)
-    A = sample_matrix(100, 16, 5)
+    A = ProjectionMatrix(k=16, d=100, seed=5)
     x = rng.uniform(-1, 1, 100)
     y = rng.uniform(-1, 1, 100)
     lhs = reduce(A, x + y).values
@@ -91,7 +90,7 @@ def test_reduce_linearity():
 
 def test_reduce_sparse_matches_dense():
     rng = np.random.default_rng(2)
-    A = sample_matrix(200, 8, 13)
+    A = ProjectionMatrix(k=8, d=200, seed=13)
     x = np.zeros(200)
     idx = rng.choice(200, 10, replace=False)
     x[idx] = rng.standard_normal(10)
@@ -103,7 +102,7 @@ def test_reduce_sparse_matches_dense():
 def test_rho_d1_exact():
     for seed in (0, 1, 99):
         for k in (1, 5, 64):
-            A = sample_matrix(1, k, seed)
+            A = ProjectionMatrix(k=k, d=1, seed=seed)
             est = rho(reduce(A, [3.0]), reduce(A, [2.0]))
             assert est == pytest.approx(36.0, rel=1e-12)
 
@@ -127,8 +126,8 @@ def test_rho_brute_force_disjoint_supports():
 
 
 def test_rho_provenance_check():
-    A = sample_matrix(4, 2, 1)
-    B = sample_matrix(4, 2, 2)
+    A = ProjectionMatrix(k=2, d=4, seed=1)
+    B = ProjectionMatrix(k=2, d=4, seed=2)
     x = np.ones(4)
     with pytest.raises(ProvenanceError):
         rho(reduce(A, x), reduce(B, x))
@@ -136,7 +135,7 @@ def test_rho_provenance_check():
 
 def test_rho_scale_equivariance():
     rng = np.random.default_rng(8)
-    A = sample_matrix(30, 8, 3)
+    A = ProjectionMatrix(k=8, d=30, seed=3)
     x = rng.standard_normal(30)
     w = np.abs(rng.standard_normal(30))
     gx, gw = reduce(A, x), reduce(A, w)
@@ -146,17 +145,17 @@ def test_rho_scale_equivariance():
 
 
 def test_rho_pairwise_zero_and_d1():
-    A = sample_matrix(3, 4, 6)
+    A = ProjectionMatrix(k=4, d=3, seed=6)
     gx = reduce(A, [1.0, 2.0, 3.0])
     gw = reduce(A, [1.0, 1.0, 0.0])
     assert rho_pairwise(gx, gx, gw) == 0.0
-    B = sample_matrix(1, 7, 0)
+    B = ProjectionMatrix(k=7, d=1, seed=0)
     assert rho_pairwise(reduce(B, [5.0]), reduce(B, [2.0]), reduce(B, [3.0])) == pytest.approx(81.0, rel=1e-12)
 
 
 def test_rho_pairwise_matches_reduced_difference():
     rng = np.random.default_rng(9)
-    A = sample_matrix(50, 8, 21)
+    A = ProjectionMatrix(k=8, d=50, seed=21)
     x, y = rng.standard_normal(50), rng.standard_normal(50)
     w = np.abs(rng.standard_normal(50))
     gx, gy, gw = reduce(A, x), reduce(A, y), reduce(A, w)
@@ -199,7 +198,7 @@ def test_hoeffding_vs_required_on_one_sparse():
 
 def test_reduced_vector_serialization():
     rng = np.random.default_rng(12)
-    A = sample_matrix(20, 6, 31)
+    A = ProjectionMatrix(k=6, d=20, seed=31)
     g = reduce(A, rng.standard_normal(20))
     data = g.to_bytes()
     assert data[:4] == b"WJLR"
@@ -219,7 +218,7 @@ def test_reduced_vector_serialization():
 def test_truncated_reduced_vector_file(tmp_path, capsys, cut):
     from wjl.cli import main
 
-    g = reduce(sample_matrix(20, 6, 31), np.arange(20.0))
+    g = reduce(ProjectionMatrix(k=6, d=20, seed=31), np.arange(20.0))
     data = g.to_bytes()[:cut]
     expected = 22 if cut < 22 else 22 + 16 * 6
     message = f"truncated WJLR file: expected {expected} bytes, got {cut}"
@@ -234,7 +233,7 @@ def test_truncated_reduced_vector_file(tmp_path, capsys, cut):
 def test_reduced_vector_trailing_bytes(tmp_path, capsys):
     from wjl.cli import main
 
-    g = reduce(sample_matrix(20, 6, 31), np.arange(20.0))
+    g = reduce(ProjectionMatrix(k=6, d=20, seed=31), np.arange(20.0))
     data = g.to_bytes() + b"\0" * 16  # one whole extra coordinate
     message = f"WJLR file has trailing bytes: expected {22 + 16 * 6} bytes, got {22 + 16 * 7}"
     with pytest.raises(ValueError, match=f"^{message}$"):
@@ -275,7 +274,7 @@ def test_concentration_improves_with_k():
     for k in (16, 256):
         ests = []
         for s in range(150):
-            A = sample_matrix(200, k, s)
+            A = ProjectionMatrix(k=k, d=200, seed=s)
             ests.append(rho(reduce_sparse(A, idx, x[idx]), reduce_sparse(A, idx[:8], w[idx[:8]])))
         stds.append(np.std(ests))
     assert stds[1] < stds[0] / 2

@@ -6,22 +6,40 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wjl.hashing import MERSENNE_P, hash_eval_exponents
 from wjl.oracle import exact_sketch_expectation
 from wjl.sketch import (
     ConfigMismatchError,
     SketchConfig,
     StreamSketch,
     cell_estimates,
+    ingest_pair,
     new_pair,
     plan_sketch,
     sketch_estimate,
     sketch_merge,
-    sketch_new,
 )
 
 
+def _forced(table: dict) -> np.ndarray:
+    """Coefficients (a0..a7), as a 1x1 sketch's, of a polynomial over GF(p)
+    whose hash exponent at each key t is table[t]: the Lagrange interpolant
+    through the points (t, table[t]), at most 8 of them."""
+    coeffs = [0] * 8
+    for ti, yi in table.items():
+        basis, denom = [1], 1  # prod over the other keys tj of (x - tj), lowest degree first
+        for tj in table:
+            if tj != ti:
+                basis = [(a - tj * b) % MERSENNE_P for a, b in zip([0, *basis], [*basis, 0])]
+                denom = denom * (ti - tj) % MERSENNE_P
+        scale = yi * pow(denom, -1, MERSENNE_P) % MERSENNE_P
+        for n, c in enumerate(basis):
+            coeffs[n] = (coeffs[n] + scale * c) % MERSENNE_P
+    return np.array(coeffs, dtype=np.uint64).reshape(1, 1, 8)
+
+
 def test_construction():
-    s = sketch_new(SketchConfig(r=3, m=2, seed=0))
+    s = StreamSketch(SketchConfig(r=3, m=2, seed=0))
     assert s.counters.shape == (3, 2)
     assert np.all(s.counters == 0)
     assert s._coefficients.shape == (3, 2, 8)
@@ -29,16 +47,16 @@ def test_construction():
 
 
 def test_hash_arrays_deterministic():
-    a = sketch_new(SketchConfig(r=2, m=2, seed=5))
-    b = sketch_new(SketchConfig(r=2, m=2, seed=5))
+    a = StreamSketch(SketchConfig(r=2, m=2, seed=5))
+    b = StreamSketch(SketchConfig(r=2, m=2, seed=5))
     assert np.array_equal(a._coefficients, b._coefficients)
-    c = sketch_new(SketchConfig(r=2, m=2, seed=6))
+    c = StreamSketch(SketchConfig(r=2, m=2, seed=6))
     assert not np.array_equal(a._coefficients, c._coefficients)
 
 
 def test_single_update_constant_hash():
     cfg = SketchConfig(r=1, m=1, seed=0)
-    s = StreamSketch(cfg, hash_override=lambda t: np.array([[1]]))  # always i
+    s = StreamSketch(cfg, _coefficients=_forced({1: 1}))  # h(1) = i
     s.update(1, 5.0)
     assert s.counters[0, 0] == 5j
     assert s.items_seen == 1
@@ -46,7 +64,7 @@ def test_single_update_constant_hash():
 
 def test_turnstile_updates_accumulate():
     cfg = SketchConfig(r=2, m=3, seed=4, mode="turnstile")
-    a = sketch_new(cfg)
+    a = StreamSketch(cfg)
     a.update(3, 2.0)
     a.update(3, 3.0)
     b = a.spawn()
@@ -56,7 +74,7 @@ def test_turnstile_updates_accumulate():
 
 def test_interleaved_streams_sum():
     cfg = SketchConfig(r=2, m=2, seed=7)
-    full = sketch_new(cfg)
+    full = StreamSketch(cfg)
     s1, s2 = new_pair(cfg)
     vals = [1.0, -2.0, 0.5, 4.0]
     for t, v in enumerate(vals, start=1):
@@ -91,7 +109,7 @@ def test_estimate_forced_hash_enumeration():
     for e1, e2 in itertools.product(range(4), repeat=2):
         table = {1: e1, 2: e2}
         cfg = SketchConfig(r=1, m=1, seed=0)
-        sx = StreamSketch(cfg, hash_override=lambda t: np.array([[table[t]]]))
+        sx = StreamSketch(cfg, _coefficients=_forced(table))
         sw = sx.spawn()
         for t in (1, 2):
             sx.update(t, x[t - 1])
@@ -102,8 +120,8 @@ def test_estimate_forced_hash_enumeration():
 
 
 def test_estimate_config_mismatch():
-    sx = sketch_new(SketchConfig(r=2, m=2, seed=1))
-    sw = sketch_new(SketchConfig(r=2, m=2, seed=2))
+    sx = StreamSketch(SketchConfig(r=2, m=2, seed=1))
+    sw = StreamSketch(SketchConfig(r=2, m=2, seed=2))
     with pytest.raises(ConfigMismatchError):
         sketch_estimate(sx, sw)
 
@@ -134,12 +152,12 @@ def test_merge_properties():
         full.update(t, v)
     assert np.allclose(sketch_merge(a, b).counters, full.counters)
     with pytest.raises(ConfigMismatchError):
-        sketch_merge(a, sketch_new(SketchConfig(r=2, m=2, seed=10)))
+        sketch_merge(a, StreamSketch(SketchConfig(r=2, m=2, seed=10)))
 
 
 def test_update_many_matches_update_loop():
     cfg = SketchConfig(r=3, m=4, seed=11)
-    a = sketch_new(cfg)
+    a = StreamSketch(cfg)
     b = a.spawn()
     rng = np.random.default_rng(0)
     vals = rng.standard_normal(20)
@@ -168,7 +186,7 @@ def test_cell_estimates_matches_sketch_objects():
 
 def test_serialization_roundtrip_and_size():
     cfg = SketchConfig(r=3, m=2, seed=21, mode="turnstile")
-    s = sketch_new(cfg)
+    s = StreamSketch(cfg)
     s.update(5, 1.5)
     data = s.to_bytes()
     assert data[:4] == b"WJLS"
@@ -223,7 +241,7 @@ def test_unknown_mode_byte():
 
 
 def test_trailing_bytes_rejected():
-    s = sketch_new(SketchConfig(r=3, m=2, seed=21, mode="turnstile"))
+    s = StreamSketch(SketchConfig(r=3, m=2, seed=21, mode="turnstile"))
     data = s.to_bytes() + b"garbage"
     with pytest.raises(ValueError, match="^WJLS file has trailing bytes: expected 127 bytes, got 134$"):
         StreamSketch.from_bytes(data)
@@ -231,7 +249,7 @@ def test_trailing_bytes_rejected():
 
 @pytest.mark.parametrize("cut", [5, 30, 31, 31 + 16 * 3 + 8, StreamSketch.serialized_size(3, 2) - 1])
 def test_truncated_sketch_file(cut):
-    s = sketch_new(SketchConfig(r=3, m=2, seed=21, mode="turnstile"))
+    s = StreamSketch(SketchConfig(r=3, m=2, seed=21, mode="turnstile"))
     s.update(5, 1.5)
     expected = 31 if cut < 31 else StreamSketch.serialized_size(3, 2)
     with pytest.raises(ValueError, match=f"^truncated WJLS file: expected {expected} bytes, got {cut}$"):
@@ -248,10 +266,85 @@ def test_config_fits_header_fields():
 def test_negative_estimates_not_clamped():
     # Force counters whose product squared has negative real part.
     cfg = SketchConfig(r=1, m=1, seed=0)
-    sx = StreamSketch(cfg, hash_override=lambda t: np.array([[t % 4]]))
+    sx = StreamSketch(cfg, _coefficients=_forced({0: 0, 1: 1}))  # h(t) = t % 4 at t = 0, 1
     sw = sx.spawn()
     sx.update(0, 1.0)  # counter 1
     sw.update(1, 1.0)  # counter i; (1*i)^2 = -1
     est = sketch_estimate(sx, sw)
     assert est.value == -1.0
     assert est.is_negative
+
+
+_keys = st.integers(0, MERSENNE_P - 1)
+_values = st.floats(-1e6, 1e6, allow_nan=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(table=st.dictionaries(_keys, st.integers(0, 3), min_size=1, max_size=8))
+def test_forced_coefficients_give_the_requested_exponents(table):
+    keys = np.array(list(table), dtype=np.uint64)
+    assert hash_eval_exponents(_forced(table)[0, 0], keys).tolist() == list(table.values())
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    r=st.integers(1, 4),
+    m=st.integers(1, 5),
+    seed=st.integers(0, 2**64 - 1),
+    updates=st.lists(st.tuples(_keys, _values, _values), min_size=1, max_size=40),
+    chunk=st.integers(1, 41),
+)
+def test_update_loop_update_many_and_ingest_pair_agree(r, m, seed, updates, chunk):
+    ts, xs, ws = (np.array(c) for c in zip(*updates))
+    ts = ts.astype(np.uint64)
+    cfg = SketchConfig(r=r, m=m, seed=seed, mode="turnstile")
+    loop_x, loop_w = new_pair(cfg)
+    for t, x, w in updates:
+        loop_x.update(t, x)
+        loop_w.update(t, w)
+    many_x, many_w = new_pair(cfg)
+    for start in range(0, len(ts), chunk):
+        many_x.update_many(ts[start : start + chunk], xs[start : start + chunk])
+        many_w.update_many(ts[start : start + chunk], ws[start : start + chunk])
+    pair_x, pair_w = new_pair(cfg)
+    ingest_pair(pair_x, pair_w, ts, xs, ws)
+    for vs, sketches in ((xs, (loop_x, many_x, pair_x)), (ws, (loop_w, many_w, pair_w))):
+        tol = 1e-12 * np.abs(vs).sum()
+        for other in sketches[1:]:
+            assert np.all(np.abs(other.counters - sketches[0].counters) <= tol)
+            assert other.items_seen == sketches[0].items_seen == len(vs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    first=st.lists(st.tuples(_keys, _values), max_size=20),
+    second=st.lists(st.tuples(_keys, _values), max_size=20),
+)
+def test_merge_is_linear(seed, first, second):
+    cfg = SketchConfig(r=3, m=2, seed=seed, mode="turnstile")
+    a, b = new_pair(cfg)
+    both = a.spawn()
+    for sketch, stream in ((a, first), (b, second), (both, first + second)):
+        for t, v in stream:
+            sketch.update(t, v)
+    merged = sketch_merge(a, b)
+    assert np.array_equal(merged.counters, a.counters + b.counters)
+    assert np.array_equal(merged.counters, sketch_merge(b, a).counters)
+    assert merged.items_seen == both.items_seen == len(first) + len(second)
+    tol = 1e-12 * sum(abs(v) for _, v in first + second)
+    assert np.all(np.abs(merged.counters - both.counters) <= tol)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    data=st.lists(st.tuples(_values, st.floats(0, 1e6)), min_size=1, max_size=12),
+    seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=5),
+)
+def test_cell_estimates_bit_equal_to_one_cell_sketches(data, seeds):
+    x, w = (np.array(c) for c in zip(*data))
+    fast = cell_estimates(x, w, np.array(seeds, dtype=np.uint64))
+    for seed, got in zip(seeds, fast):
+        sx, sw = new_pair(SketchConfig(r=1, m=1, seed=seed, mode="turnstile"))
+        ingest_pair(sx, sw, np.arange(len(x)), x, w)
+        assert np.float64(sketch_estimate(sx, sw).value).view(np.uint64) == got.view(np.uint64)
