@@ -17,7 +17,6 @@ from .projection import (
     ProjectionMatrix,
     ProvenanceError,
     ReducedVector,
-    hoeffding_k,
     reduce,
     reduce_sparse,
     required_k,
@@ -50,7 +49,6 @@ __all__ = [
     "exact_rho_expectation",
     "exact_sketch_expectation",
     "gen_pair",
-    "hoeffding_k",
     "new_pair",
     "p_norm",
     "plan_sketch",

@@ -55,6 +55,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be positive")
+        if not self.k_list:
+            raise ValueError("k_list must not be empty")
+        if min(self.k_list) < 1:
+            raise ValueError(f"k_list values must be positive, got {min(self.k_list)}")
 
     @classmethod
     def preset(cls, scale: str, experiment: str, **overrides) -> "ExperimentConfig":

@@ -5,6 +5,12 @@ are never materialized globally: each entry's exponent is a counter-based
 deterministic function of (seed, row, column), so rows can be generated
 independently, huge matrices need no storage, and sparse inputs touch only
 the matching columns.
+
+Generator (WJLR version 2): one SplitMix64 word
+``W(c, q) = finalize(seed*GOLDEN + q*ROW_MULT + c*COL_MULT)`` holds the
+exponents of the 32 rows ``32q .. 32q + 31`` of column ``c``; row ``r`` is the
+2-bit field ``(W(c, r >> 5) >> 2*(r & 31)) & 3``.  The words run down a column
+because every reduction needs all k rows of each column of its support.
 """
 
 from __future__ import annotations
@@ -20,11 +26,17 @@ from ._mix import COL_MULT, GOLDEN, ROW_MULT, U64_MASK, finalize_array
 from .units import UNIT_VALUES
 
 REDUCED_MAGIC = b"WJLR"
-REDUCED_VERSION = 1
+REDUCED_VERSION = 2
 
 #: Default universal constant for the reduced-dimension planner; matches the
 #: constant appearing in the tail-bound analysis.
 DEFAULT_PLAN_CONSTANT = 576.0
+
+#: _RE[b, j] and _IM[b, j] are the real and imaginary parts of the unit whose
+#: exponent is the 2-bit field j of byte b: a byte of a word holds 4 rows.
+_FIELDS = (np.arange(256)[:, None] >> (2 * np.arange(4))) & 3
+_RE = UNIT_VALUES.real[_FIELDS]
+_IM = UNIT_VALUES.imag[_FIELDS]
 
 
 class ProvenanceError(ValueError):
@@ -47,18 +59,25 @@ class ProjectionMatrix:
         if not 0 <= self.seed <= U64_MASK:
             raise ValueError("seed must be a 64-bit unsigned integer")
 
-    def entry_exponents(self, rows, cols) -> np.ndarray:
-        """Unit exponents of the entries at the given (broadcast) positions."""
-        rows = np.asarray(rows, dtype=np.uint64)
-        cols = np.asarray(cols, dtype=np.uint64)
+    def words(self, groups, cols) -> np.ndarray:
+        """Generator words W(c, q) at the given (broadcast) row groups q and columns c.
+
+        Bits 2j and 2j + 1 of W(c, q) are the exponent of the entry at row
+        32q + j of column c.
+        """
         base = np.uint64((self.seed * GOLDEN) & U64_MASK)
         # Wraps around mod 2^64 by design.  Ufunc calls rather than operators:
         # numpy's scalar operators, which 0-d inputs reach, warn on overflow.
-        z = np.add(base, np.multiply(rows, np.uint64(ROW_MULT)))
-        z = np.add(z, np.multiply(cols, np.uint64(COL_MULT)))
-        e = finalize_array(z)
-        e &= np.uint64(3)
-        return e.astype(np.uint8)
+        z = np.add(base, np.multiply(np.asarray(groups, dtype=np.uint64), np.uint64(ROW_MULT)))
+        z = np.add(z, np.multiply(np.asarray(cols, dtype=np.uint64), np.uint64(COL_MULT)))
+        return finalize_array(z)
+
+    def entry_exponents(self, rows, cols) -> np.ndarray:
+        """Unit exponents of the entries at the given (broadcast) positions."""
+        rows = np.asarray(rows, dtype=np.uint64)
+        w = self.words(np.right_shift(rows, np.uint64(5)), cols)
+        shift = np.left_shift(np.bitwise_and(rows, np.uint64(31)), np.uint64(1))
+        return np.bitwise_and(np.right_shift(w, shift), np.uint64(3)).astype(np.uint8)
 
     def toarray(self) -> np.ndarray:
         """Materialize the full matrix as complex128; small matrices only."""
@@ -119,32 +138,36 @@ class ReducedVector:
             raise ValueError(f"WJLR file has trailing bytes: expected {size} bytes, got {len(data)}")
         return cls(k, np.frombuffer(data, dtype="<c16", offset=22).astype(np.complex128), seed, d)
 
-    def to_csv(self) -> str:
-        lines = ["index,re,im"]
-        for i, z in enumerate(self.values):
-            lines.append(f"{i},{float(z.real)!r},{float(z.imag)!r}")
-        return "\n".join(lines) + "\n"
-
 
 def _project(A: ProjectionMatrix, cols: np.ndarray, values: np.ndarray) -> ReducedVector:
     """g = A[:, cols] @ values / sqrt(k), over blocks of about BLOCK_ELEMS entries.
 
-    Each block is whole rows, so every output coordinate comes from one
-    matrix-vector product over all of cols, exactly as without blocking.  A
-    block holds at least two rows: numpy sends a one-row product down its dot
-    path, which rounds differently from the matrix-vector path, so a trailing
-    one-row block joins the block before it.
+    A block's words are viewed as bytes, 4 rows each; each byte is looked up
+    in _RE and _IM, and Re g and Im g are two real products over all of cols.
+    Every product spans whole bytes: OpenBLAS sums an output row the same way
+    in any product whose width is a multiple of 4 rows, so blocking changes
+    no bit.  Words are generated BLOCK_ELEMS at a time and the products take
+    BLOCK_ELEMS entries at a time, but at least one word and one byte per
+    column, so that a wide support's memory stays near 4 rows x nnz floats.
     """
-    rows = max(2, _mix.BLOCK_ELEMS // cols.size)
-    bounds = list(range(0, A.k, rows)) + [A.k]
-    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
-        del bounds[-2]
-    out = np.empty(A.k, dtype=np.complex128)
-    cols = cols[None, :]
-    for start, stop in zip(bounds, bounds[1:]):
-        e = A.entry_exponents(np.arange(start, stop, dtype=np.uint64)[:, None], cols)
-        out[start:stop] = np.take(UNIT_VALUES, e) @ values
-    return ReducedVector(A.k, out * (1.0 / math.sqrt(A.k)), A.seed, A.d)
+    n = cols.size
+    lanes_total = -(-A.k // 4)  # 4-row bytes per column
+    groups_total = -(-lanes_total // 8)  # words per column
+    lanes = max(1, _mix.BLOCK_ELEMS // (4 * n))  # bytes per product
+    groups = max(1, _mix.BLOCK_ELEMS // n)  # words per column generated at once
+    out = np.empty(4 * lanes_total, dtype=np.complex128)
+    cols = cols[:, None]
+    for q0 in range(0, groups_total, groups):
+        q = np.arange(q0, min(q0 + groups, groups_total), dtype=np.uint64)
+        # Little-endian, so that byte j of word q holds rows 32q + 4j .. 32q + 4j + 3.
+        b = A.words(q, cols).astype("<u8", copy=False).view(np.uint8)
+        stop = min(b.shape[1], lanes_total - 8 * q0)
+        for l0 in range(0, stop, lanes):
+            part = b[:, l0:min(l0 + lanes, stop)]
+            rows = slice(4 * (8 * q0 + l0), 4 * (8 * q0 + l0 + part.shape[1]))
+            out.real[rows] = values @ _RE.take(part, axis=0).reshape(n, -1)
+            out.imag[rows] = values @ _IM.take(part, axis=0).reshape(n, -1)
+    return ReducedVector(A.k, out[:A.k] * (1.0 / math.sqrt(A.k)), A.seed, A.d)
 
 
 def reduce(A: ProjectionMatrix, x: np.ndarray) -> ReducedVector:
@@ -205,14 +228,3 @@ class PlanParams:
 def required_k(p: PlanParams) -> int:
     """Reduced dimension sufficient for an (epsilon, delta) guarantee."""
     return math.ceil(p.c * p.delta_threshold**4 * math.log(1.0 / p.delta) / p.epsilon**2)
-
-
-def hoeffding_k(x: np.ndarray, w: np.ndarray, epsilon: float, delta: float) -> int:
-    """Cruder 1-norm-based planner, exposed for comparison with required_k."""
-    x = np.asarray(x, dtype=np.float64)
-    w = np.asarray(w, dtype=np.float64)
-    xw = math.sqrt(float(np.sum((w * x) ** 2)))
-    if xw == 0.0:
-        raise ValueError("weighted norm of x is zero")
-    ratio = float(np.sum(np.abs(x)) * np.sum(np.abs(w))) / xw
-    return math.ceil(ratio**4 * math.log(2.0 / delta) / epsilon**2)

@@ -2,7 +2,8 @@
 
 Blocking must not change a single output bit: every matrix entry and hash
 value is a function of its seed and indices alone, and each output
-coordinate or counter is still summed in one call over all its terms.
+coordinate or counter is still summed in one call over all its terms (for
+the projection, a real product whose width is a whole number of 4-row bytes).
 """
 
 import math
@@ -31,8 +32,14 @@ def _values(rng, n):
 
 
 def _unblocked_reduce(A, idx, values):
-    e = A.entry_exponents(np.arange(A.k, dtype=np.uint64)[:, None], idx.astype(np.uint64)[None, :])
-    return (UNIT_VALUES[e] @ values) * (1.0 / math.sqrt(A.k))
+    # The kernel's formula in one piece: the real and imaginary parts of all
+    # entries of the first 4 * ceil(k / 4) rows, then one real product each.
+    rows = np.arange(4 * -(-A.k // 4), dtype=np.uint64)
+    e = A.entry_exponents(rows[None, :], idx.astype(np.uint64)[:, None])
+    out = np.empty(rows.size, dtype=np.complex128)
+    out.real = values @ UNIT_VALUES.real[e]
+    out.imag = values @ UNIT_VALUES.imag[e]
+    return out[:A.k] * (1.0 / math.sqrt(A.k))
 
 
 def _divided_by_smallest_factor(total):
@@ -51,14 +58,15 @@ _RELATION = {
 
 @settings(max_examples=150, deadline=None)
 @given(
-    k=st.integers(1, 60),
+    k=st.integers(1, 100),
     nnz=st.integers(1, 40),
     relation=st.sampled_from(sorted(_RELATION)),
     seed=st.integers(0, 2**32 - 1),
 )
-@example(k=9, nnz=33, relation="multiple", seed=1)  # 3-row blocks leave no one-row tail
-@example(k=7, nnz=33, relation="multiple", seed=2)  # 2-row blocks would leave a one-row tail
-@example(k=3, nnz=40, relation="one above", seed=3)
+@example(k=9, nnz=33, relation="multiple", seed=1)  # one 4-row byte per product
+@example(k=100, nnz=1, relation="multiple", seed=2)  # 12-byte products cross word boundaries
+@example(k=97, nnz=1, relation="multiple", seed=3)  # one word per block; the last holds 1 row
+@example(k=3, nnz=40, relation="one above", seed=4)
 def test_reduce_sparse_matches_unblocked_formula(k, nnz, relation, seed):
     rng = np.random.default_rng(seed)
     d = 4 * nnz
@@ -71,7 +79,7 @@ def test_reduce_sparse_matches_unblocked_formula(k, nnz, relation, seed):
     assert np.array_equal(_bits(got), _bits(_unblocked_reduce(A, idx, values)))
 
 
-@pytest.mark.parametrize("budget", [1, 7, 64, 1 << 15])
+@pytest.mark.parametrize("budget", [1, 7, 64, 400, 1600, 1 << 15])
 def test_dense_reduce_is_reduce_sparse_over_all_columns(monkeypatch, budget):
     monkeypatch.setattr(_mix, "BLOCK_ELEMS", budget)
     rng = np.random.default_rng(budget)
@@ -162,6 +170,13 @@ def test_reduce_sparse_memory_does_not_grow_with_k_times_nnz():
     idx = rng.choice(A.d, 100, replace=False)
     values = rng.standard_normal(100)
     assert _peak_mb(lambda: reduce_sparse(A, idx, values)) < 16
+
+
+def test_dense_reduce_memory_stays_near_four_rows_per_column():
+    # Blocks of one whole word (32 rows) per column would peak at about 66 MB.
+    A = ProjectionMatrix(k=64, d=200_000, seed=3)
+    x = np.random.default_rng(2).standard_normal(A.d)
+    assert _peak_mb(lambda: reduce(A, x)) <= 12
 
 
 def test_update_many_memory_does_not_grow_with_r_m_n():

@@ -278,6 +278,21 @@ def test_cli_rejects_bad_config_files(tmp_path, capsys, command, text, message):
     assert not (tmp_path / "out").exists() and not (tmp_path / "x.wjlr").exists()
 
 
+@pytest.mark.parametrize("command, k_list, message", [
+    ("fig1", [], "k_list must not be empty"),
+    ("fig3", [], "k_list must not be empty"),
+    ("fig3", [16, 0], "k_list values must be positive, got 0"),
+])
+def test_cli_rejects_empty_or_nonpositive_k_list(tmp_path, capsys, command, k_list, message):
+    from wjl.cli import main
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(f'{{"k_list": {k_list}}}')
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_keys_are_the_config_fields():
     from dataclasses import fields
 
@@ -324,18 +339,19 @@ def test_cli_rejects_flags_a_command_does_not_read(tmp_path, capsys, args):
     assert not any(tmp_path.iterdir())
 
 
-# SHA-256 of the outputs of the commands below, recorded before the fig runners
-# were merged into one trial runner and the CSV writers into one; any change
-# to the random streams, the CSV or the SVG shows here.
+# SHA-256 of the outputs of the commands below; any change to the random
+# streams, the CSV or the SVG shows here.  fig1..fig4 were recorded with the
+# projection generator of WJLR version 2 (32 row exponents per word);
+# sketch_eval.csv does not use the projection.
 _RECORDED = {
-    "fig1.csv": "e68953d45c4c74359f8462e828e82c0b0b68192a62f8b29f82718daaa051ca0d",
-    "fig1.svg": "7d10a3fa630097f1bf782f3b6d78a670aecbb1b5c0e31bd57e97e0c7b4eecb6d",
-    "fig2.csv": "b49ded162eb3b294abb04ad24615df9678f73e929114de93ae69a0c39d2f1678",
-    "fig2.svg": "73ad8a348882d1dda8cde1959ae36cb5fe3b5c87c715f9927cd350c311bac340",
-    "fig3.csv": "2bb78e919e65fc9b4879ec3b26e8f1ad2c0936f5631c931aea296b3e2630fab3",
-    "fig3.svg": "10434faad4c54200153ca6ebd440db8e44d3d6d646dfd0017b2377043a0cd7bd",
-    "fig4.csv": "3622b50b67b9f02911ee17f952655b6471a2fdfd5c4f7a4b6d639fd613dc03ac",
-    "fig4.svg": "ea596e43de61695363df175eb53662b9e7da4669b65cc957debb7254ec70c5a8",
+    "fig1.csv": "5cb01e1c30d71442decca2e2b9263042f3b522541d053fa7281a69e589eda0e3",
+    "fig1.svg": "aefc34b3423634373f905807557d477988265a8b17832b2abb0defd71febce0a",
+    "fig2.csv": "1aef1a9dc12b857886dc101b0d84e65608f1ad9e90fab3252a8c2d6eabe4ba6c",
+    "fig2.svg": "35635607389189113316d9c19ff01dfb380efcc8cf7891c9f91e4a032f40efd6",
+    "fig3.csv": "91415a28d37b8d2f405daa6cbb1ee4dba83d659881c63d67745bc846456c99e3",
+    "fig3.svg": "ea351d7337f001336ccf6bfba51904fac070903e8be71981ae020672b62e9a12",
+    "fig4.csv": "2497a288f2534eb65e5c09e6a6827a1b72c1d72e6ab4e63a51ad73900123cccd",
+    "fig4.svg": "a0e6a12ac3ca848f703f8a5750def955f631fc0c471a0e21ea43977f7bb35392",
     "sketch_eval.csv": "01c63ddb4b2f651a452600f1b8aa3a6fba46c6deee4ed898fbf7bfe3f0d1fe0a",
 }
 

@@ -1,9 +1,12 @@
 import itertools
 import math
+import struct
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wjl.oracle import WeightedPair, weighted_sq_norm
 from wjl.projection import (
@@ -11,7 +14,6 @@ from wjl.projection import (
     ProjectionMatrix,
     ProvenanceError,
     ReducedVector,
-    hoeffding_k,
     reduce,
     reduce_sparse,
     required_k,
@@ -47,6 +49,26 @@ def test_entry_histogram_uniform():
     e = A.entry_exponents(np.zeros(10**6, dtype=np.uint64), np.arange(10**6, dtype=np.uint64))
     freqs = np.bincount(e, minlength=4) / 1e6
     assert np.all(freqs >= 0.245) and np.all(freqs <= 0.255)
+
+
+def test_entry_field_positions_uniform():
+    # Row 32q + j of a column is field j of one word: each of the 32 fields
+    # must be uniform on its own.
+    A = ProjectionMatrix(k=32, d=200_000, seed=7)
+    for j in range(32):
+        e = A.entry_exponents(np.uint64(j), np.arange(A.d, dtype=np.uint64))
+        freqs = np.bincount(e, minlength=4) / A.d
+        assert np.all(np.abs(freqs - 0.25) <= 0.005), (j, freqs)
+
+
+@pytest.mark.parametrize("row", [0, 30, 31, 63])
+def test_adjacent_rows_jointly_uniform(row):
+    # Rows 0/1 and 30/31 share a word; 31/32 and 63/64 straddle two words.
+    A = ProjectionMatrix(k=65, d=200_000, seed=8)
+    cols = np.arange(A.d, dtype=np.uint64)
+    pairs = 4 * A.entry_exponents(np.uint64(row), cols) + A.entry_exponents(np.uint64(row + 1), cols)
+    freqs = np.bincount(pairs, minlength=16) / A.d
+    assert np.all(np.abs(freqs - 1 / 16) <= 0.003), freqs
 
 
 def test_seed_coverage_single_entry():
@@ -86,6 +108,44 @@ def test_reduce_linearity():
         lhs = reduce(A, alpha * x + beta * y).values
         rhs = alpha * reduce(A, x).values + beta * reduce(A, y).values
         assert np.max(np.abs(lhs - rhs)) <= 1e-12
+
+
+def _single_entry_reduce(A, idx, values):
+    """Each coordinate recomputed from single-entry exponents, in Python."""
+    units = [complex(1), 1j, complex(-1), -1j]
+    return np.array([
+        sum(units[int(A.entry_exponents(row, int(c)))] * float(v) for c, v in zip(idx, values))
+        for row in range(A.k)
+    ]) / math.sqrt(A.k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    k=st.integers(1, 100),
+    nnz=st.integers(1, 12),
+    matrix_seed=st.integers(0, 2**64 - 1),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_reduce_sparse_matches_single_entry_recomputation(k, nnz, matrix_seed, seed):
+    rng = np.random.default_rng(seed)
+    A = ProjectionMatrix(k=k, d=1000, seed=matrix_seed)
+    idx = rng.choice(A.d, nnz, replace=False)
+    values = rng.standard_normal(nnz)
+    got = reduce_sparse(A, idx, values).values
+    tol = 1e-12 * np.sum(np.abs(values)) / math.sqrt(k)
+    assert np.max(np.abs(got - _single_entry_reduce(A, idx, values))) <= tol
+
+
+@pytest.mark.parametrize("k, nnz", [(1, 5), (31, 40), (33, 7), (100, 3), (1000, 100), (5000, 300)])
+def test_reduce_sparse_matches_complex_formula(k, nnz):
+    rng = np.random.default_rng(k + nnz)
+    A = ProjectionMatrix(k=k, d=10_000, seed=k)
+    idx = rng.choice(A.d, nnz, replace=False)
+    values = rng.standard_normal(nnz) * 10.0 ** rng.integers(-3, 4, nnz)
+    e = A.entry_exponents(np.arange(k, dtype=np.uint64)[:, None], idx.astype(np.uint64)[None, :])
+    ref = (UNIT_VALUES[e] @ values) / math.sqrt(k)
+    got = reduce_sparse(A, idx, values).values
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.sum(np.abs(values)) / math.sqrt(k)
 
 
 def test_reduce_sparse_matches_dense():
@@ -175,27 +235,6 @@ def test_required_k_examples():
         prev = k
 
 
-def test_hoeffding_k_examples():
-    e = math.exp(1)
-    assert hoeffding_k([1.0], [1.0], 1.0, 2 / e) == 1
-    # (||x||_1 ||w||_1 / ||x||_w)^4 = (4 / sqrt(2))^4 = 64
-    assert hoeffding_k([1.0, 1.0], [1.0, 1.0], 1.0, 2 / e) == 64
-    with pytest.raises(ValueError):
-        hoeffding_k([1.0, 0.0], [0.0, 1.0], 0.5, 0.1)
-
-
-def test_hoeffding_vs_required_on_one_sparse():
-    # 1-sparse vectors: 1-norm equals 2-norm, so the two planners differ only
-    # in constants and the log base convention.
-    x, w = [0.0, 2.0], [0.0, 3.0]
-    delta = 0.1
-    h = hoeffding_k(x, w, 0.5, delta)
-    r = required_k(PlanParams(0.5, delta, 1.0, c=1.0))
-    ratio = h / r
-    expected = math.log(2 / delta) / math.log(1 / delta)
-    assert ratio == pytest.approx(expected, rel=0.1)
-
-
 def test_reduced_vector_serialization():
     rng = np.random.default_rng(12)
     A = ProjectionMatrix(k=6, d=20, seed=31)
@@ -209,9 +248,22 @@ def test_reduced_vector_serialization():
     odd = ReducedVector(2, np.array([complex(-0.0, 1.0), complex(1.0, np.inf)]), 31, 20)
     back = ReducedVector.from_bytes(odd.to_bytes())
     assert np.array_equal(back.values.view(np.uint64), odd.values.view(np.uint64))
-    csv = g.to_csv()
-    assert csv.splitlines()[0] == "index,re,im"
-    assert len(csv.splitlines()) == 7
+
+
+def test_reduced_vector_version_1_rejected(tmp_path, capsys):
+    from wjl.cli import main
+
+    # Version 1 files were written by the one-word-per-entry generator.
+    v1 = b"WJLR" + struct.pack("<HIIQ", 1, 2, 20, 31) + np.ones(2, dtype="<c16").tobytes()
+    message = "unsupported reduced vector version 1"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ReducedVector.from_bytes(v1)
+    (tmp_path / "v1.wjlr").write_bytes(v1)
+    ok = reduce(ProjectionMatrix(k=2, d=20, seed=31), np.arange(20.0)).to_bytes()
+    assert ok[4:6] == struct.pack("<H", 2)
+    (tmp_path / "ok.wjlr").write_bytes(ok)
+    assert main(["estimate", str(tmp_path / "ok.wjlr"), str(tmp_path / "v1.wjlr")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("cut", [5, 21, 22, 22 + 16 * 6 - 1])
