@@ -146,7 +146,11 @@ def _project(A: ProjectionMatrix, cols: np.ndarray, values: np.ndarray) -> Reduc
     in _RE and _IM, and Re g and Im g are two real products over all of cols.
     Every product spans whole bytes: OpenBLAS sums an output row the same way
     in any product whose width is a multiple of 4 rows, so blocking changes
-    no bit.  Words are generated BLOCK_ELEMS at a time and the products take
+    no bit.  Threaded OpenBLAS is the exception: it splits a 4- or 12-row
+    product over about 65,000 columns or more by columns, so the last bits of
+    such wide supports can depend on the BLAS thread count.
+
+    Words are generated BLOCK_ELEMS at a time and the products take
     BLOCK_ELEMS entries at a time, but at least one word and one byte per
     column, so that a wide support's memory stays near 4 rows x nnz floats.
     """

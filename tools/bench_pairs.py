@@ -79,6 +79,16 @@ def _compare(metric: dict, parent: list[float], change: list[float]) -> dict:
     }
 
 
+def _cpu() -> str:
+    try:
+        for line in Path("/proc/cpuinfo").read_text().splitlines():
+            if line.startswith("model name"):
+                return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor() or platform.machine()
+
+
 def _seeds(text: str) -> list[int]:
     if "-" in text:
         lo, hi = (int(s) for s in text.split("-"))
@@ -143,7 +153,7 @@ def main(argv=None) -> int:
         "what": args.what,
         "parent_commit": commits["parent"],
         "change_commit": commits["change"],
-        "machine": {"nproc": os.cpu_count(), "cpu": platform.processor() or platform.machine(),
+        "machine": {"nproc": os.cpu_count(), "cpu": _cpu(),
                     "python": platform.python_version(), "numpy": np.__version__},
         "method": {
             "command": f"python3 perfbench/run.py --workload <w> --seed <s> --seconds {seconds:g} --trace 0",
