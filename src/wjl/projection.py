@@ -38,6 +38,11 @@ _FIELDS = (np.arange(256)[:, None] >> (2 * np.arange(4))) & 3
 _RE = UNIT_VALUES.real[_FIELDS]
 _IM = UNIT_VALUES.imag[_FIELDS]
 
+#: A reduction sums its support in panels of this many columns.  It is part
+#: of the arithmetic, not a memory budget: another value changes the last
+#: bits of every support wider than either.
+_PANEL_COLS = 1 << 15
+
 
 class ProvenanceError(ValueError):
     """Raised when reduced vectors from different matrices are combined."""
@@ -59,7 +64,7 @@ class ProjectionMatrix:
         if not 0 <= self.seed <= U64_MASK:
             raise ValueError("seed must be a 64-bit unsigned integer")
 
-    def words(self, groups, cols) -> np.ndarray:
+    def _words(self, groups, cols) -> np.ndarray:
         """Generator words W(c, q) at the given (broadcast) row groups q and columns c.
 
         Bits 2j and 2j + 1 of W(c, q) are the exponent of the entry at row
@@ -75,7 +80,7 @@ class ProjectionMatrix:
     def entry_exponents(self, rows, cols) -> np.ndarray:
         """Unit exponents of the entries at the given (broadcast) positions."""
         rows = np.asarray(rows, dtype=np.uint64)
-        w = self.words(np.right_shift(rows, np.uint64(5)), cols)
+        w = self._words(np.right_shift(rows, np.uint64(5)), cols)
         shift = np.left_shift(np.bitwise_and(rows, np.uint64(31)), np.uint64(1))
         return np.bitwise_and(np.right_shift(w, shift), np.uint64(3)).astype(np.uint8)
 
@@ -140,38 +145,52 @@ class ReducedVector:
 
 
 def _project(A: ProjectionMatrix, cols: np.ndarray, values: np.ndarray) -> ReducedVector:
-    """g = A[:, cols] @ values / sqrt(k), over blocks of about BLOCK_ELEMS entries.
+    """g = A[:, cols] @ values / sqrt(k), summed over panels of _PANEL_COLS columns.
+
+    Each panel is reduced on its own and the panels' sums are added in order,
+    so no product spans more than _PANEL_COLS columns and the memory of a wide
+    support stays near 8 rows x _PANEL_COLS floats.
+    """
+    g = _project_panel(A, cols[:_PANEL_COLS], values[:_PANEL_COLS])
+    for c0 in range(_PANEL_COLS, cols.size, _PANEL_COLS):
+        g += _project_panel(A, cols[c0:c0 + _PANEL_COLS], values[c0:c0 + _PANEL_COLS])
+    return ReducedVector(A.k, g[:A.k] * (1.0 / math.sqrt(A.k)), A.seed, A.d)
+
+
+def _project_panel(A: ProjectionMatrix, cols: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """A[:8 * ceil(k / 8), cols] @ values, over blocks of about BLOCK_ELEMS entries.
 
     A block's words are viewed as bytes, 4 rows each; each byte is looked up
-    in _RE and _IM, and Re g and Im g are two real products over all of cols.
-    Every product spans whole bytes: OpenBLAS sums an output row the same way
-    in any product whose width is a multiple of 4 rows, so blocking changes
-    no bit.  Threaded OpenBLAS is the exception: it splits a 4- or 12-row
-    product over about 65,000 columns or more by columns, so the last bits of
-    such wide supports can depend on the BLAS thread count.
+    in _RE and _IM, and the real and imaginary parts are two real products
+    over all of cols.  Every product spans a whole number of 8 rows (rows past
+    k are computed and dropped).  OpenBLAS sums an output row the same way in
+    any product whose width is a multiple of 4 rows, so blocking changes no
+    bit.  Threaded OpenBLAS gives the same bits as one thread for widths that
+    are multiples of 8, but not for widths of 4, 12, 20, ... rows over some
+    30,000 columns or more, so the BLAS thread count changes no bit either.
 
     Words are generated BLOCK_ELEMS at a time and the products take
-    BLOCK_ELEMS entries at a time, but at least one word and one byte per
-    column, so that a wide support's memory stays near 4 rows x nnz floats.
+    BLOCK_ELEMS entries at a time, but at least one word and two bytes per
+    column.
     """
     n = cols.size
-    lanes_total = -(-A.k // 4)  # 4-row bytes per column
+    lanes_total = 2 * -(-A.k // 8)  # 4-row bytes per column, in pairs
     groups_total = -(-lanes_total // 8)  # words per column
-    lanes = max(1, _mix.BLOCK_ELEMS // (4 * n))  # bytes per product
+    lanes = max(2, _mix.BLOCK_ELEMS // (4 * n)) & ~1  # bytes per product, even
     groups = max(1, _mix.BLOCK_ELEMS // n)  # words per column generated at once
     out = np.empty(4 * lanes_total, dtype=np.complex128)
     cols = cols[:, None]
     for q0 in range(0, groups_total, groups):
         q = np.arange(q0, min(q0 + groups, groups_total), dtype=np.uint64)
         # Little-endian, so that byte j of word q holds rows 32q + 4j .. 32q + 4j + 3.
-        b = A.words(q, cols).astype("<u8", copy=False).view(np.uint8)
+        b = A._words(q, cols).astype("<u8", copy=False).view(np.uint8)
         stop = min(b.shape[1], lanes_total - 8 * q0)
         for l0 in range(0, stop, lanes):
             part = b[:, l0:min(l0 + lanes, stop)]
             rows = slice(4 * (8 * q0 + l0), 4 * (8 * q0 + l0 + part.shape[1]))
             out.real[rows] = values @ _RE.take(part, axis=0).reshape(n, -1)
             out.imag[rows] = values @ _IM.take(part, axis=0).reshape(n, -1)
-    return ReducedVector(A.k, out[:A.k] * (1.0 / math.sqrt(A.k)), A.seed, A.d)
+    return out
 
 
 def reduce(A: ProjectionMatrix, x: np.ndarray) -> ReducedVector:

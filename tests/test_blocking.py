@@ -3,18 +3,24 @@
 Blocking must not change a single output bit: every matrix entry and hash
 value is a function of its seed and indices alone, and each output
 coordinate or counter is still summed in one call over all its terms (for
-the projection, a real product whose width is a whole number of 4-row bytes).
+the projection, one real product per panel of columns, whose width is a
+whole number of 8 rows).  Nor may the BLAS thread count.
 """
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wjl import _mix
+import wjl
+from wjl import _mix, projection
 from wjl.hashing import MERSENNE_P, hash_eval_exponents
 from wjl.oracle import HashPolynomial, hash_eval
 from wjl.projection import ProjectionMatrix, reduce, reduce_sparse
@@ -32,13 +38,18 @@ def _values(rng, n):
 
 
 def _unblocked_reduce(A, idx, values):
-    # The kernel's formula in one piece: the real and imaginary parts of all
-    # entries of the first 4 * ceil(k / 4) rows, then one real product each.
-    rows = np.arange(4 * -(-A.k // 4), dtype=np.uint64)
-    e = A.entry_exponents(rows[None, :], idx.astype(np.uint64)[:, None])
-    out = np.empty(rows.size, dtype=np.complex128)
-    out.real = values @ UNIT_VALUES.real[e]
-    out.imag = values @ UNIT_VALUES.imag[e]
+    # The kernel's formula in one piece per panel: the real and imaginary
+    # parts of all entries of the first 8 * ceil(k / 8) rows in the panel's
+    # columns, one real product each; the panels' sums added in order.
+    rows = np.arange(8 * -(-A.k // 8), dtype=np.uint64)
+    panel = projection._PANEL_COLS
+    out = None
+    for c0 in range(0, idx.size, panel):
+        e = A.entry_exponents(rows[None, :], idx[c0:c0 + panel].astype(np.uint64)[:, None])
+        part = np.empty(rows.size, dtype=np.complex128)
+        part.real = values[c0:c0 + panel] @ UNIT_VALUES.real[e]
+        part.imag = values[c0:c0 + panel] @ UNIT_VALUES.imag[e]
+        out = part if out is None else out + part
     return out[:A.k] * (1.0 / math.sqrt(A.k))
 
 
@@ -61,13 +72,14 @@ _RELATION = {
     k=st.integers(1, 100),
     nnz=st.integers(1, 40),
     relation=st.sampled_from(sorted(_RELATION)),
+    panel=st.sampled_from([1, 3, 16, 1 << 15]),
     seed=st.integers(0, 2**32 - 1),
 )
-@example(k=9, nnz=33, relation="multiple", seed=1)  # one 4-row byte per product
-@example(k=100, nnz=1, relation="multiple", seed=2)  # 12-byte products cross word boundaries
-@example(k=97, nnz=1, relation="multiple", seed=3)  # one word per block; the last holds 1 row
-@example(k=3, nnz=40, relation="one above", seed=4)
-def test_reduce_sparse_matches_unblocked_formula(k, nnz, relation, seed):
+@example(k=9, nnz=33, relation="multiple", panel=1 << 15, seed=1)  # 8-row products
+@example(k=100, nnz=1, relation="multiple", panel=1 << 15, seed=2)  # 12-byte products cross word boundaries
+@example(k=97, nnz=1, relation="multiple", panel=1 << 15, seed=3)  # one word per block; the last holds 1 row
+@example(k=3, nnz=40, relation="one above", panel=3, seed=4)  # 14 panels, the last of 1 column
+def test_reduce_sparse_matches_unblocked_formula(k, nnz, relation, panel, seed):
     rng = np.random.default_rng(seed)
     d = 4 * nnz
     A = ProjectionMatrix(k=k, d=d, seed=int(rng.integers(0, 2**63)))
@@ -75,8 +87,10 @@ def test_reduce_sparse_matches_unblocked_formula(k, nnz, relation, seed):
     values = _values(rng, nnz)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_mix, "BLOCK_ELEMS", _RELATION[relation](k, nnz))
+        mp.setattr(projection, "_PANEL_COLS", panel)
         got = reduce_sparse(A, idx, values).values
-    assert np.array_equal(_bits(got), _bits(_unblocked_reduce(A, idx, values)))
+        want = _unblocked_reduce(A, idx, values)
+    assert np.array_equal(_bits(got), _bits(want))
 
 
 @pytest.mark.parametrize("budget", [1, 7, 64, 400, 1600, 1 << 15])
@@ -172,8 +186,9 @@ def test_reduce_sparse_memory_does_not_grow_with_k_times_nnz():
     assert _peak_mb(lambda: reduce_sparse(A, idx, values)) < 16
 
 
-def test_dense_reduce_memory_stays_near_four_rows_per_column():
-    # Blocks of one whole word (32 rows) per column would peak at about 66 MB.
+def test_dense_reduce_memory_stays_near_one_panel():
+    # One product over all columns would peak at about 66 MB with whole words
+    # (32 rows) per column, at about 17 MB with 8 rows.
     A = ProjectionMatrix(k=64, d=200_000, seed=3)
     x = np.random.default_rng(2).standard_normal(A.d)
     assert _peak_mb(lambda: reduce(A, x)) <= 12
@@ -186,3 +201,35 @@ def test_update_many_memory_does_not_grow_with_r_m_n():
     ts = rng.integers(0, 200_000, 10_000)
     vs = rng.standard_normal(10_000)
     assert _peak_mb(lambda: sk.update_many(ts, vs)) < 64
+
+
+_THREADS_SCRIPT = """
+import hashlib
+import numpy as np
+from wjl.projection import ProjectionMatrix, reduce, reduce_sparse
+h = hashlib.sha256()
+rng = np.random.default_rng(6)
+for k in (5, 37, 64):
+    A = ProjectionMatrix(k=k, d=200_000, seed=k)
+    h.update(reduce(A, rng.standard_normal(A.d) * 10.0 ** rng.integers(-8, 9, A.d)).to_bytes())
+A = ProjectionMatrix(k=100, d=200_000, seed=1)
+idx = rng.choice(A.d, 70_000, replace=False)
+h.update(reduce_sparse(A, idx, rng.standard_normal(idx.size)).to_bytes())
+print(h.hexdigest())
+"""
+
+
+def _reduce_digest(threads):
+    src = str(Path(wjl.__file__).resolve().parent.parent)
+    inherited = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads),
+               PYTHONPATH=os.pathsep.join([src, inherited]) if inherited else src)
+    proc = subprocess.run([sys.executable, "-c", _THREADS_SCRIPT], capture_output=True, text=True,
+                          env=env, check=True)
+    return proc.stdout.strip()
+
+
+def test_wide_reductions_do_not_depend_on_the_blas_thread_count():
+    # Products of 4 or 12 rows over 30,000 columns or more came out with
+    # other last bits under two OpenBLAS threads than under one.
+    assert _reduce_digest(1) == _reduce_digest(2)

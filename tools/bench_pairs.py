@@ -9,13 +9,17 @@ Each commit's committed files are exported with `git archive` into a fresh
 directory (what the benchmark runs on: no untracked or edited files).  Pair
 i (1-based) runs `perfbench/run.py --workload <w> --seed <seed i> --trace 0`
 on the parent first when i is odd and on the change first when i is even,
-for every workload in turn, so slow drift of the host cancels.  The output
-holds, for every workload and end-to-end metric of BENCHMARK.json, each
-side's runs, median and quartiles, the pairs the change won, and whether the
-change's median stays within the metric's bound; `--claim` adds the claimed
-metric's speed-up and whether it is met (at least 9/10 of the pairs won, the
-medians further apart than the parent's quartiles, the ratio at least the
-target); `--trace-seed` adds one `--trace 1` run per side and workload.
+for every workload in turn, so slow drift of the host cancels; every run
+lasts BENCHMARK.json's run_seconds.  BENCH_<label>.json, at the repository
+root, holds for every workload and end-to-end metric of BENCHMARK.json each
+side's runs, median and quartiles, the pairs the change won, and the bound
+check: "within" or "outside" the metric's bound, or "unresolved" where the
+parent's spread (quartile gap over median) is wider than the bound and not
+every change run reads better than every parent run.  `--claim` adds the
+claimed metric's speed-up and whether it is met (at least 9/10 of the pairs
+won, the medians further apart than the parent's quartiles, the ratio at
+least the target); `--trace-seed` adds one `--trace 1` run per side and
+workload.
 """
 
 from __future__ import annotations
@@ -30,8 +34,6 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-
-WORKLOADS = ("reduce-store", "stream-ingest", "paper-desk")
 
 
 def _git(*args, cwd) -> str:
@@ -67,15 +69,21 @@ def _compare(metric: dict, parent: list[float], change: list[float]) -> dict:
     wins = sum((b > a) if higher else (b < a) for a, b in zip(parent, change))
     ratio = c["median"] / p["median"] if p["median"] else float("nan")
     worsening = (1 - ratio) if higher else (ratio - 1)
+    spread = (p["q3"] - p["q1"]) / p["median"] if p["median"] else float("nan")
+    all_better = min(change) > max(parent) if higher else max(change) < min(parent)
+    if spread > metric["bound"] and not all_better:
+        check = "unresolved"
+    else:
+        check = "within" if worsening <= metric["bound"] else "outside"
     return {
         "unit": metric["unit"], "better": metric["better"], "bound": metric["bound"],
         "parent": p, "change": c,
         "change_wins_pairs": f"{wins}/{len(parent)}",
         "median_ratio_change_over_parent": ratio,
         "relative_worsening": worsening,
-        "within_bound": bool(worsening <= metric["bound"]),
+        "parent_spread_over_median": spread,
+        "bound_check": check,
         "median_gap_exceeds_parent_iqr": bool(abs(c["median"] - p["median"]) > p["q3"] - p["q1"]),
-        "parent_spread_over_median": (p["q3"] - p["q1"]) / p["median"] if p["median"] else float("nan"),
     }
 
 
@@ -102,12 +110,8 @@ def _parse(argv):
     p.add_argument("--change", required=True, help="changed commit")
     p.add_argument("--label", required=True, help="names the output BENCH_<label>.json")
     p.add_argument("--seeds", type=_seeds, default=_seeds("111-120"), help="one seed per pair: 111-120 or 1,5,9")
-    p.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
-    p.add_argument("--seconds", type=float, help="run length (default: BENCHMARK.json's run_seconds)")
     p.add_argument("--claim", help="workload:metric:target ratio of medians, e.g. reduce-store:ops_per_s:2")
     p.add_argument("--trace-seed", type=int, help="seed of one --trace 1 run per side and workload")
-    p.add_argument("--what", default="", help="one-line description of the change")
-    p.add_argument("--out", type=Path, help="output file (default: BENCH_<label>.json at the repository root)")
     return p.parse_args(argv)
 
 
@@ -117,27 +121,28 @@ def main(argv=None) -> int:
     commits = {side: _git("rev-parse", "--verify", f"{ref}^{{commit}}", cwd=repo)
                for side, ref in (("parent", args.parent), ("change", args.change))}
     spec = json.loads(_git("show", f"{commits['parent']}:BENCHMARK.json", cwd=repo))
-    seconds = args.seconds if args.seconds is not None else spec["run_seconds"]
+    seconds = spec["run_seconds"]
+    names = [w["name"] for w in spec["workloads"]]
     same_bench = subprocess.run(["git", "diff", "--quiet", commits["parent"], commits["change"], "--",
                                  "perfbench", "BENCHMARK.json"], cwd=repo).returncode == 0
-    runs = {(w, side): [] for w in args.workloads for side in commits}
+    runs = {(w, side): [] for w in names for side in commits}
     traced = {}
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         trees = {side: _export(repo, commit, Path(tmp) / side) for side, commit in commits.items()}
         for i, seed in enumerate(args.seeds, start=1):
             order = ("parent", "change") if i % 2 else ("change", "parent")
-            for w in args.workloads:
+            for w in names:
                 for side in order:
                     runs[w, side].append(_run(trees[side], w, seed, seconds, 0))
                     print(f"pair {i} seed {seed} {w} {side}: correct={runs[w, side][-1]['correct']}", file=sys.stderr)
         if args.trace_seed is not None:
-            for w in args.workloads:
+            for w in names:
                 for side in commits:
                     metrics = _run(trees[side], w, args.trace_seed, seconds, 1)["metrics"]
                     traced[f"{w}/{side}"] = {name: m["value"] for name, m in metrics.items()}
 
     workloads = {}
-    for w in args.workloads:
+    for w in names:
         par, chg = runs[w, "parent"], runs[w, "change"]
         workloads[w] = {
             "seeds": args.seeds,
@@ -150,7 +155,6 @@ def main(argv=None) -> int:
         }
     out = {
         "label": args.label,
-        "what": args.what,
         "parent_commit": commits["parent"],
         "change_commit": commits["change"],
         "machine": {"nproc": os.cpu_count(), "cpu": _cpu(),
@@ -183,13 +187,13 @@ def main(argv=None) -> int:
         }
     out["workloads"] = workloads
     out["not_claimed_but_measured"] = [
-        f"{w} {m}: {'within' if c['within_bound'] else 'OUTSIDE'} its bound "
-        f"(median ratio {c['median_ratio_change_over_parent']:.3f}, change won {c['change_wins_pairs']})"
+        f"{w} {m}: {c['bound_check']} (bound {c['bound']:g}, parent spread {c['parent_spread_over_median']:.3f}, "
+        f"median ratio {c['median_ratio_change_over_parent']:.3f}, change won {c['change_wins_pairs']})"
         for w, wl in workloads.items() for m, c in wl["end_to_end"].items()
     ]
     if traced:
         out["traced"] = traced
-    path = args.out or repo / f"BENCH_{args.label}.json"
+    path = repo / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(out, indent=1) + "\n")
     print(f"wrote {path}")
     return 0
