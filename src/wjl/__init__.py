@@ -9,7 +9,6 @@ from .oracle import (
     distortion,
     exact_rho_expectation,
     exact_sketch_expectation,
-    p_norm,
     weighted_sq_norm,
 )
 from .projection import (
@@ -50,7 +49,6 @@ __all__ = [
     "exact_sketch_expectation",
     "gen_pair",
     "new_pair",
-    "p_norm",
     "plan_sketch",
     "reduce",
     "reduce_sparse",

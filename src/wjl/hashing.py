@@ -7,12 +7,26 @@ points is a bijection on coefficient tuples, which gives 8-independence.
 
 The mapping [0, p) -> {0,1,2,3} via low bits is not exactly uniform because
 p % 4 == 3; the deviation is at most 4/p per value and is ignored.
+
+Many polynomials are evaluated at many keys as one matrix product over GF(p),
+computed exactly in float64 (the technique of FFLAS-FFPACK): coefficients a_j
+and key powers b_j = t^j mod p are split into 21-bit limbs a = a0 + a1 2^21 +
+a2 2^42, and with 2^63 == 4 and 2^84 == 2^23 (mod p) each product a b is
+S0 + 2^21 S1 + 2^42 S2 (mod p) for the slabs
+
+    S0 = a0 b0 + 4 (a1 b2 + a2 b1),  S1 = a0 b1 + a1 b0 + 4 a2 b2,
+    S2 = a0 b2 + a1 b1 + a2 b0.
+
+Summed over j = 0..7, every slab and every partial sum of one is an integer
+below 2^47, so the float64 products are exact whatever the BLAS summation
+order, FMA use or thread count; only the recombination runs in uint64.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from . import _mix
 from ._mix import GOLDEN, finalize_array
 
 #: Mersenne prime 2^61 - 1.
@@ -21,6 +35,9 @@ MERSENNE_P = (1 << 61) - 1
 _P = np.uint64(MERSENNE_P)
 _MASK32 = np.uint64(0xFFFFFFFF)
 _MASK29 = np.uint64((1 << 29) - 1)
+_MASK21 = np.uint64((1 << 21) - 1)
+_MASK40 = np.uint64((1 << 40) - 1)
+_MASK19 = np.uint64((1 << 19) - 1)
 _S29, _S32, _S61 = np.uint64(29), np.uint64(32), np.uint64(61)
 
 
@@ -49,8 +66,7 @@ def _mul61(a, b_lo, b_hi, out, lo, tmp) -> np.ndarray:
     s = np.right_shift(a, _S32, out=out)  # a1 <= 2^29
     hi = None
     if b_hi is None:
-        # The b-high cross terms vanish (e.g. Horner evaluation points that
-        # are coordinate indices).
+        # The b-high cross terms vanish (e.g. keys below 2^32).
         s *= b_lo                     # mid = a1 * b < 2^61
         lo *= b_lo                    # < 2^64, exact in uint64
     else:
@@ -89,40 +105,112 @@ def mulmod61(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _canonical61(_fold61(out, tmp), tmp)
 
 
-def coefficients_for_seeds(seeds: np.ndarray) -> np.ndarray:
-    """Coefficients (a0..a7) of one polynomial per 64-bit seed: shape seeds.shape + (8,)."""
+def coefficient_words(seeds: np.ndarray) -> np.ndarray:
+    """The SplitMix64 words that coefficients_for_seeds reduces mod p.
+
+    Shape seeds.shape + (8,); the result is a view of a coefficient-major
+    array, in which word j over all seeds is contiguous.  Each word is its
+    coefficient up to a multiple of p, which the product kernel accepts.
+    """
     seeds = np.asarray(seeds, dtype=np.uint64)
     c = np.arange(1, 9, dtype=np.uint64) * np.uint64(GOLDEN)
-    z = finalize_array(seeds[..., None] + c)
-    # Modular reduction of a uniform 64-bit value; bias is O(2^-58).
-    return z % _P
+    return np.moveaxis(finalize_array(c.reshape((8,) + (1,) * seeds.ndim) + seeds), 0, -1)
+
+
+def coefficients_for_seeds(seeds: np.ndarray) -> np.ndarray:
+    """Coefficients (a0..a7) of one polynomial per 64-bit seed: shape seeds.shape + (8,)."""
+    z = coefficient_words(seeds)
+    # Reduction of a uniform 64-bit value mod p; bias is O(2^-58).
+    tmp = np.empty_like(z)
+    return _canonical61(_fold61(z, tmp), tmp)
+
+
+def _limbs(z: np.ndarray, out: np.ndarray) -> np.ndarray:
+    # The 21-bit limbs of uint64 z as float64: out[v] = (z >> 21 v) & (2^21 - 1)
+    # for v = 0, 1 and out[2] = z >> 42 (below 2^22).
+    part = np.empty(z.shape, dtype=np.uint64)
+    for v in range(3):
+        np.right_shift(z, np.uint64(21 * v), out=part)
+        if v < 2:
+            np.bitwise_and(part, _MASK21, out=part)
+        np.copyto(out[v], part.view(np.int64), casting="unsafe")
+    return out
+
+
+def key_powers(t) -> np.ndarray:
+    """t^0 .. t^7 mod p for 1-d keys t in [0, p): uint64 (8, len(t))."""
+    t = np.asarray(t, dtype=np.uint64)
+    if t.size and int(t.max()) >= MERSENNE_P:
+        raise ValueError("evaluation point must lie in [0, p)")
+    # Python integers: a few operations per distinct key, where vectorized
+    # products would cost dozens of numpy calls per batch.
+    out = np.empty((8, t.size), dtype=np.uint64)
+    for k0 in range(0, t.size, _mix.BLOCK_ELEMS):
+        keys = t[k0 : k0 + _mix.BLOCK_ELEMS].tolist()
+        powers = [[1] * len(keys), keys]
+        for _ in range(6):
+            powers.append([x * k % MERSENNE_P for x, k in zip(powers[-1], keys)])
+        out[:, k0 : k0 + len(keys)] = powers
+    return out
+
+
+def limb_exponents(coefficients: np.ndarray, powers: np.ndarray) -> np.ndarray:
+    """Unit exponents of c polynomials at u keys: uint64 (c, u) in {0,1,2,3}.
+
+    coefficients has shape (c, 8) and may hold any uint64 representatives of
+    the field elements (coefficient_words, say); powers is key_powers of the
+    u keys.  Runs over tiles of about BLOCK_ELEMS cell-keys.
+    """
+    c, u = coefficients.shape[0], powers.shape[1]
+    cell = np.empty((3, 8, c))
+    _limbs(np.moveaxis(coefficients, -1, 0), cell[::-1])  # rows a2, a1, a0 of a0..a7
+    cell = cell.reshape(24, c).T
+    out = np.empty((c, u), dtype=np.uint64)
+    step = max(1, _mix.BLOCK_ELEMS // max(1, c))
+    for k0 in range(0, u, step):
+        k1 = min(u, k0 + step)
+        w = k1 - k0
+        # Slab s multiplies (a2, a1, a0) by rows s .. s + 2 of (4 b1, 4 b2, b0,
+        # b1, b2), b0, b1, b2 being the limbs of the key powers.
+        rows = np.empty((5, 8, w))
+        _limbs(powers[:, k0:k1], rows[2:])
+        np.multiply(rows[3:], 4.0, out=rows[:2])
+        keys = np.empty((24, 3, w))
+        for s in range(3):
+            keys[:, s] = rows[s : s + 3].reshape(24, w)
+        x = np.empty((3, c, w), dtype=np.int64)
+        np.copyto(x, np.matmul(cell, keys.reshape(24, 3 * w)).reshape(c, 3, w).transpose(1, 0, 2), casting="unsafe")
+        x0, x1, x2 = x.view(np.uint64)
+        # h == S0 + 2^21 S1 + 2^42 S2 (mod p), with 2^21 S1 == (S1 mod 2^40)
+        # 2^21 + (S1 >> 40) and 2^42 S2 == (S2 mod 2^19) 2^42 + (S2 >> 19).
+        # Slabs stay below 2^49 for words below 2^64, so h stays below 2^63.
+        h = np.bitwise_and(x1, _MASK40)
+        np.left_shift(h, np.uint64(21), out=h)
+        np.right_shift(x1, np.uint64(40), out=x1)
+        np.add(h, x1, out=h)
+        np.bitwise_and(x2, _MASK19, out=x1)
+        np.left_shift(x1, np.uint64(42), out=x1)
+        np.add(h, x1, out=h)
+        np.right_shift(x2, np.uint64(19), out=x2)
+        np.add(h, x2, out=h)
+        np.add(h, x0, out=h)
+        _canonical61(_fold61(h, x1), x1)
+        np.bitwise_and(h, np.uint64(3), out=out[:, k0:k1])
+    return out
 
 
 def hash_eval_exponents(coefficients: np.ndarray, t) -> np.ndarray:
-    """Vectorized Horner evaluation; returns unit exponents.
+    """Unit exponents of polynomials at keys, by the exact product.
 
     coefficients has shape (..., 8); t is a scalar or an array broadcastable
     against the leading dimensions.  Output dtype is uint64 with values in
-    {0,1,2,3}.
+    {0,1,2,3}.  Every polynomial is evaluated at every distinct key, and the
+    broadcast pairs are picked from that table.
     """
     coefficients = np.asarray(coefficients, dtype=np.uint64)
     t = np.asarray(t, dtype=np.uint64)
-    if np.any(t >= _P):
-        raise ValueError("evaluation point must lie in [0, p)")
-    acc = np.empty(np.broadcast_shapes(coefficients.shape[:-1], t.shape), dtype=np.uint64)
-    lo, tmp = np.empty_like(acc), np.empty_like(acc)
-    # Full-shape copies of the evaluation points keep the multiplications off
-    # numpy's slower broadcasting loops.
-    t_lo, t_hi = (None if b is None else np.broadcast_to(b, acc.shape).copy() for b in _split32(t))
-    # Horner's rule, in place.  acc stays partially reduced (<= p + 7) between
-    # steps and becomes the residue in [0, p) at the end.  The first step from
-    # 0 leaves the leading coefficient.
-    acc[...] = coefficients[..., 7]
-    _fold61(acc, tmp)
-    for idx in range(6, -1, -1):
-        _mul61(acc, t_lo, t_hi, acc, lo, tmp)
-        acc += coefficients[..., idx]  # < 2^63 + 2^34 + 2^61, no wrap-around
-        _fold61(acc, tmp)
-    _canonical61(acc, tmp)
-    acc &= np.uint64(3)
-    return acc
+    keys, inverse = np.unique(t, return_inverse=True)
+    rows = coefficients.reshape(-1, 8)
+    table = limb_exponents(rows, key_powers(keys))
+    cells = np.arange(rows.shape[0]).reshape(coefficients.shape[:-1])
+    return table[cells, inverse.reshape(t.shape)]

@@ -49,13 +49,6 @@ def distortion(pair: WeightedPair) -> float:
     return float(np.linalg.norm(pair.x) * np.linalg.norm(pair.w)) / np.sqrt(sq)
 
 
-def p_norm(x: np.ndarray, p: float) -> float:
-    if p < 1:
-        raise ValueError("p must be at least 1")
-    x = np.asarray(x, dtype=np.float64)
-    return float(np.sum(np.abs(x) ** p) ** (1.0 / p))
-
-
 def _all_unit_rows(d: int) -> np.ndarray:
     """All 4^d unit rows as a (4^d, d) complex array."""
     if d > MAX_ENUM_DIM:

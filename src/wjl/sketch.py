@@ -14,19 +14,27 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from . import _mix
 from ._mix import GOLDEN, ROW_MULT, U64_MASK, finalize_array
-from .hashing import coefficients_for_seeds, hash_eval_exponents
+from .hashing import coefficient_words, key_powers, limb_exponents
+# perfbench/spans.py traces these names here.
+from .hashing import coefficients_for_seeds, hash_eval_exponents  # noqa: F401
 from .units import UNIT_VALUES
 
 SKETCH_MAGIC = b"WJLS"
 SKETCH_VERSION = 2
 
 _MODES = ("timestep", "turnstile")
+
+# A batch hashes runs of cells whose (cells, distinct keys) exponent table
+# holds about _HASH_ELEMS entries, at most _MAX_HASH_CELLS cells: a batch of
+# many keys then spreads the cost of each tile's key limbs over a hundred
+# cells or more, and a batch of few keys bounds the cells' temporaries.
+_HASH_ELEMS = 1 << 19
+_MAX_HASH_CELLS = 1 << 13
 
 
 class ConfigMismatchError(ValueError):
@@ -72,43 +80,49 @@ def cell_seeds(config: SketchConfig) -> np.ndarray:
     return finalize_array(z)
 
 
-def _hash_sums(coefficients: np.ndarray, ts: np.ndarray, *vectors: np.ndarray) -> list[np.ndarray]:
-    """Per cell, sum_n v[n] * h_ij(ts[n]) for each vector v; one (r, m) array each.
+def _hash_sums(seeds: np.ndarray, ts: np.ndarray, *vectors: np.ndarray) -> list[np.ndarray]:
+    """Per cell, sum_n v[n] * h(ts[n]) for each vector v; one array of seeds' shape each.
 
-    Runs over blocks of about BLOCK_ELEMS cell-keys, each holding every key of
-    the batch for a run of cells, so the temporaries do not grow with r x m
-    (a block holds at least one cell, so they grow with n past BLOCK_ELEMS
-    keys).  The hashes are evaluated with keys on the outer axis, so the ufunc
-    inner loops run over cells even for a batch of a few keys.  Each cell's
-    units are then laid out contiguously for the einsum, which sums them in
-    the same order as over the whole (r, m, n) array.
+    Cell c hashes with the polynomial of coefficient_words(seeds[c]).  The
+    key powers are computed once, for the distinct keys.  Each run of cells
+    derives its coefficients inside the loop and evaluates them at every
+    distinct key with the exact product (limb_exponents), so memory grows
+    with neither r x m nor the stream (it grows with n past BLOCK_ELEMS
+    keys).  Each cell's units are then laid out contiguously in the order of
+    ts, blocks of about BLOCK_ELEMS of them at a time, for the einsum, which
+    sums them in the same order as over the whole (cells, n) array.
     """
-    flat = coefficients.reshape(-1, 8)
-    keys = np.reshape(ts, (-1, 1))
-    step = max(1, _mix.BLOCK_ELEMS // max(1, keys.shape[0]))
-    sums = [np.empty(flat.shape[0], dtype=np.complex128) for _ in vectors]
-    for start in range(0, flat.shape[0], step):
-        e = hash_eval_exponents(flat[start : start + step], keys)  # (n, cells)
-        units = np.take(UNIT_VALUES, e.T)  # C order: (cells, n)
-        for out, v in zip(sums, vectors):
-            out[start : start + step] = np.einsum("cn,n->c", units, v)
-    return [s.reshape(coefficients.shape[:-1]) for s in sums]
+    flat = seeds.reshape(-1)
+    keys, inverse = np.unique(np.asarray(ts, dtype=np.uint64), return_inverse=True)
+    inverse = inverse.reshape(-1)
+    powers = key_powers(keys)
+    rows = max(1, _mix.BLOCK_ELEMS // max(1, inverse.size))
+    cells = min(max(rows, _HASH_ELEMS // max(1, keys.size)), _MAX_HASH_CELLS)
+    sums = [np.empty(flat.size, dtype=np.complex128) for _ in vectors]
+    for start in range(0, flat.size, cells):
+        e = limb_exponents(coefficient_words(flat[start : start + cells]), powers)  # (cells, keys)
+        for r0 in range(0, e.shape[0], rows):
+            units = np.take(UNIT_VALUES, np.take(e[r0 : r0 + rows], inverse, axis=1))  # (cells, n)
+            for out, v in zip(sums, vectors):
+                out[start + r0 : start + r0 + units.shape[0]] = np.einsum("cn,n->c", units, v)
+    return [s.reshape(seeds.shape) for s in sums]
 
 
 class StreamSketch:
-    """Single-vector sketch state: counters plus the cell hash polynomials."""
+    """Single-vector sketch state: its config and its counters.
 
-    def __init__(self, config: SketchConfig, _coefficients: Optional[np.ndarray] = None):
+    The cells' hash polynomials are a function of the config's seed and are
+    derived again by every update, so a sketch stores nothing else.
+    """
+
+    def __init__(self, config: SketchConfig):
         self.config = config
         self.counters = np.zeros((config.r, config.m), dtype=np.complex128)
         self.items_seen = 0
-        if _coefficients is None:
-            _coefficients = coefficients_for_seeds(cell_seeds(config))
-        self._coefficients = _coefficients
 
     def spawn(self) -> "StreamSketch":
-        """Empty sketch sharing this sketch's config and hash polynomials."""
-        return StreamSketch(self.config, _coefficients=self._coefficients)
+        """Empty sketch with this sketch's config, hence its hash polynomials."""
+        return StreamSketch(self.config)
 
     def update(self, t: int, v: float):
         """Add v * h_ij(t) to every counter.
@@ -121,18 +135,14 @@ class StreamSketch:
     def update_many(self, ts: np.ndarray, vs: np.ndarray):
         """Vectorized sequence of updates (equivalent to update() in a loop)."""
         vs = np.asarray(vs, dtype=np.float64)
-        (sums,) = _hash_sums(self._coefficients, ts, vs)
+        (sums,) = _hash_sums(cell_seeds(self.config), ts, vs)
         self.counters += sums
         self.items_seen += len(vs)
 
-    def ingest(self, values: np.ndarray):
-        """Timestep-mode convenience: feed a whole vector, t = 1..len."""
-        self.update_many(np.arange(1, len(values) + 1), values)
-
     def to_bytes(self) -> bytes:
         """WJLS v2: the 31-byte header, then the r*m counters as little-endian
-        (re, im) float64 pairs.  The hash coefficients are not stored: they
-        are a function of the seed, and from_bytes derives them again.
+        (re, im) float64 pairs.  The hash coefficients are a function of the
+        seed and are not stored.
         """
         header = SKETCH_MAGIC + struct.pack(
             "<HBIIQQ",
@@ -162,7 +172,7 @@ class StreamSketch:
         if len(data) > size:
             raise ValueError(f"WJLS file has trailing bytes: expected {size} bytes, got {len(data)}")
         sketch = cls(SketchConfig(r=r, m=m, seed=seed, mode=_MODES[mode_idx]))
-        sketch.counters = np.frombuffer(data, dtype="<c16", offset=31).astype(np.complex128).reshape(r, m)
+        sketch.counters[...] = np.frombuffer(data, dtype="<c16", offset=31).reshape(r, m)
         sketch.items_seen = items
         return sketch
 
@@ -172,7 +182,7 @@ class StreamSketch:
 
 
 def new_pair(config: SketchConfig) -> tuple[StreamSketch, StreamSketch]:
-    """Two empty sketches sharing one hash array, for a vector and its weights."""
+    """Two empty sketches of one config, for a vector and its weights."""
     sx = StreamSketch(config)
     return sx, sx.spawn()
 
@@ -180,17 +190,15 @@ def new_pair(config: SketchConfig) -> tuple[StreamSketch, StreamSketch]:
 def ingest_pair(sx: StreamSketch, sw: StreamSketch, ts: np.ndarray, xs: np.ndarray, ws: np.ndarray):
     """Apply parallel turnstile updates to a vector sketch and weight sketch.
 
-    The sketches must share hash polynomials (see new_pair); the polynomials
-    are then evaluated once per update key for both, halving the hashing work
-    relative to two update_many calls.
+    The sketches must share a config, hence hash polynomials (see new_pair);
+    the polynomials are then evaluated once per update key for both, halving
+    the hashing work relative to two update_many calls.
     """
     _check_same_config(sx, sw)
-    if sx._coefficients is not sw._coefficients:
-        raise ConfigMismatchError("ingest_pair requires sketches from new_pair/spawn")
     ts = np.asarray(ts)
     xs = np.asarray(xs, dtype=np.float64)
     ws = np.asarray(ws, dtype=np.float64)
-    sums_x, sums_w = _hash_sums(sx._coefficients, ts, xs, ws)
+    sums_x, sums_w = _hash_sums(cell_seeds(sx.config), ts, xs, ws)
     sx.counters += sums_x
     sw.counters += sums_w
     sx.items_seen += len(xs)
@@ -243,6 +251,5 @@ def cell_estimates(x: np.ndarray, w: np.ndarray, seeds: np.ndarray) -> np.ndarra
     x = np.asarray(x, dtype=np.float64)
     w = np.asarray(w, dtype=np.float64)
     # Cell (0, 0) mixing degenerates to finalize(seed), see cell_seeds.
-    coeffs = coefficients_for_seeds(finalize_array(np.asarray(seeds, dtype=np.uint64)))
-    cx, cw = _hash_sums(coeffs, np.arange(len(x)), x, w)
+    cx, cw = _hash_sums(finalize_array(np.asarray(seeds, dtype=np.uint64)), np.arange(len(x)), x, w)
     return ((cx * cw) ** 2).real

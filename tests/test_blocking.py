@@ -21,10 +21,10 @@ from hypothesis import strategies as st
 
 import wjl
 from wjl import _mix, projection
-from wjl.hashing import MERSENNE_P, hash_eval_exponents
+from wjl.hashing import MERSENNE_P, coefficients_for_seeds, hash_eval_exponents
 from wjl.oracle import HashPolynomial, hash_eval
 from wjl.projection import ProjectionMatrix, reduce, reduce_sparse
-from wjl.sketch import SketchConfig, StreamSketch, ingest_pair, new_pair
+from wjl.sketch import SketchConfig, StreamSketch, cell_seeds, ingest_pair, new_pair
 from wjl.units import UNIT_VALUES
 
 
@@ -130,8 +130,9 @@ def test_update_many_and_ingest_pair_match_unblocked_einsum(r, m, n, budget, big
         mp.setattr(_mix, "BLOCK_ELEMS", budget)
         sk.update_many(ts, xs)
         ingest_pair(sx, sw, ts, xs, ws)
-    ref_x = _unblocked_sums(sk._coefficients, ts, xs)
-    ref_w = _unblocked_sums(sk._coefficients, ts, ws)
+    coefficients = coefficients_for_seeds(cell_seeds(cfg))
+    ref_x = _unblocked_sums(coefficients, ts, xs)
+    ref_w = _unblocked_sums(coefficients, ts, ws)
     assert np.array_equal(_bits(sk.counters), _bits(ref_x))
     assert np.array_equal(_bits(sx.counters), _bits(ref_x))
     assert np.array_equal(_bits(sw.counters), _bits(ref_w))
@@ -148,7 +149,7 @@ def test_update_many_matches_unblocked_einsum_past_the_einsum_buffer():
     vs = _values(rng, 10_000)
     sk = StreamSketch(cfg)
     sk.update_many(ts, vs)
-    assert np.array_equal(_bits(sk.counters), _bits(_unblocked_sums(sk._coefficients, ts, vs)))
+    assert np.array_equal(_bits(sk.counters), _bits(_unblocked_sums(coefficients_for_seeds(cell_seeds(cfg)), ts, vs)))
 
 
 @pytest.mark.parametrize("budget", [1, 5, 1 << 15])
@@ -156,6 +157,7 @@ def test_blocked_exponents_match_scalar_hash_eval(monkeypatch, budget):
     monkeypatch.setattr(_mix, "BLOCK_ELEMS", budget)
     cfg = SketchConfig(r=2, m=3, seed=23, mode="turnstile")
     ts = np.array([0, 1, 2, 977, 2**32 - 1, 2**32, MERSENNE_P - 1], dtype=np.uint64)
+    coefficients = coefficients_for_seeds(cell_seeds(cfg))
     for key in range(len(ts)):
         # One unit key at a time: the counters are then exactly h_ij(t).
         vs = np.zeros(len(ts))
@@ -164,7 +166,7 @@ def test_blocked_exponents_match_scalar_hash_eval(monkeypatch, budget):
         sk.update_many(ts, vs)
         for i in range(cfg.r):
             for j in range(cfg.m):
-                poly = HashPolynomial(tuple(int(c) for c in sk._coefficients[i, j]))
+                poly = HashPolynomial(tuple(int(c) for c in coefficients[i, j]))
                 assert sk.counters[i, j] == UNIT_VALUES[int(hash_eval(poly, int(ts[key])))]
 
 
@@ -203,6 +205,19 @@ def test_update_many_memory_does_not_grow_with_r_m_n():
     assert _peak_mb(lambda: sk.update_many(ts, vs)) < 64
 
 
+def test_update_many_memory_does_not_grow_with_the_number_of_cells():
+    # Past the sums themselves (16 bytes a cell), a batch of 2,000 keys takes
+    # the same memory into 1,024 cells as into 8,192.
+    rng = np.random.default_rng(2)
+    ts = rng.integers(0, 200_000, 2_000)
+    vs = rng.standard_normal(2_000)
+    peaks = {}
+    for m in (1_024, 8_192):
+        sk = StreamSketch(SketchConfig(r=1, m=m, seed=4, mode="turnstile"))
+        peaks[m] = _peak_mb(lambda: sk.update_many(ts, vs)) - 16 * m / 2**20
+    assert peaks[8_192] < 1.05 * peaks[1_024] + 0.1
+
+
 _THREADS_SCRIPT = """
 import hashlib
 import numpy as np
@@ -219,12 +234,27 @@ print(h.hexdigest())
 """
 
 
-def _reduce_digest(threads):
+_SKETCH_THREADS_SCRIPT = """
+import hashlib
+import numpy as np
+from wjl.sketch import SketchConfig, StreamSketch, cell_estimates
+h = hashlib.sha256()
+rng = np.random.default_rng(7)
+for (r, m), n in (((37, 6046), 3), ((13, 137), 256), ((13, 137), 5_000), ((1, 3), 40_000)):
+    sk = StreamSketch(SketchConfig(r=r, m=m, seed=r * m + n, mode="turnstile"))
+    sk.update_many(rng.integers(0, 2**61 - 1, n, dtype=np.uint64), rng.standard_normal(n))
+    h.update(sk.to_bytes())
+h.update(cell_estimates(rng.standard_normal(8), rng.random(8), np.arange(20_000, dtype=np.uint64)).tobytes())
+print(h.hexdigest())
+"""
+
+
+def _digest(script, threads):
     src = str(Path(wjl.__file__).resolve().parent.parent)
     inherited = os.environ.get("PYTHONPATH")
     env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads),
                PYTHONPATH=os.pathsep.join([src, inherited]) if inherited else src)
-    proc = subprocess.run([sys.executable, "-c", _THREADS_SCRIPT], capture_output=True, text=True,
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=env, check=True)
     return proc.stdout.strip()
 
@@ -232,4 +262,9 @@ def _reduce_digest(threads):
 def test_wide_reductions_do_not_depend_on_the_blas_thread_count():
     # Products of 4 or 12 rows over 30,000 columns or more came out with
     # other last bits under two OpenBLAS threads than under one.
-    assert _reduce_digest(1) == _reduce_digest(2)
+    assert _digest(_THREADS_SCRIPT, 1) == _digest(_THREADS_SCRIPT, 2)
+
+
+def test_sketch_bytes_do_not_depend_on_the_blas_thread_count():
+    # The hash products are exact, so no summation order can show.
+    assert _digest(_SKETCH_THREADS_SCRIPT, 1) == _digest(_SKETCH_THREADS_SCRIPT, 2)

@@ -1,8 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
-from wjl.hashing import MERSENNE_P, coefficients_for_seeds, hash_eval_exponents, mulmod61
+from wjl.hashing import (
+    MERSENNE_P,
+    coefficient_words,
+    coefficients_for_seeds,
+    hash_eval_exponents,
+    key_powers,
+    limb_exponents,
+    mulmod61,
+)
 from wjl.oracle import HashPolynomial, hash_eval, hash_new
 from wjl.units import UNIT_VALUES
 
@@ -75,6 +85,36 @@ def test_horner_matches_wide_integer_reference():
             for c in reversed(h.coefficients):
                 acc = (acc * int(t) + c) % MERSENNE_P
             assert acc & 3 == int(e)
+
+
+def test_coefficients_are_the_words_mod_p():
+    seeds = np.array([[0, 1], [2**64 - 1, 12345]], dtype=np.uint64)
+    words = coefficient_words(seeds)
+    coeffs = coefficients_for_seeds(seeds)
+    assert words.shape == coeffs.shape == (2, 2, 8)
+    assert [int(w) % MERSENNE_P for w in words.ravel()] == coeffs.ravel().tolist()
+
+
+_FIELD = st.one_of(st.sampled_from([0, 1, MERSENNE_P - 1]), st.integers(0, MERSENNE_P - 1))
+_KEYS = st.one_of(st.sampled_from([0, 1, 2**32 - 1, 2**32, MERSENNE_P - 1]), st.integers(0, MERSENNE_P - 1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    coefficients=st.lists(st.lists(_FIELD, min_size=8, max_size=8), min_size=1, max_size=4),
+    words=st.lists(st.integers(0, 2**64 - 1), min_size=8, max_size=8),
+    keys=st.lists(_KEYS, min_size=1, max_size=12),
+)
+def test_product_kernel_matches_scalar_horner(coefficients, words, keys):
+    # The float64 product against Python-integer Horner, for coefficients in
+    # [0, p) and for raw 64-bit words, whose residues are the coefficients.
+    t = np.array(keys, dtype=np.uint64)
+    got = hash_eval_exponents(np.array(coefficients, dtype=np.uint64)[:, None, :], t)
+    for row, polynomial in zip(got, coefficients):
+        assert row.tolist() == [hash_eval(HashPolynomial(tuple(polynomial)), k) for k in keys]
+    reduced = HashPolynomial(tuple(w % MERSENNE_P for w in words))
+    got = limb_exponents(np.array([words], dtype=np.uint64), key_powers(t))
+    assert got[0].tolist() == [hash_eval(reduced, k) for k in keys]
 
 
 def test_joint_distribution_eight_points_small_field():

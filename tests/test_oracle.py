@@ -8,7 +8,6 @@ from wjl.oracle import (
     distortion,
     exact_rho_expectation,
     exact_sketch_expectation,
-    p_norm,
     weighted_sq_norm,
 )
 
@@ -45,21 +44,6 @@ def test_distortion_scale_invariance():
         assert distortion(WeightedPair(x, a * w)) == pytest.approx(base, rel=1e-12)
 
 
-def test_p_norm_examples():
-    assert p_norm([3.0, 4.0], 2) == pytest.approx(5.0)
-    assert p_norm([1.0, 1.0, 1.0, 1.0], 1) == pytest.approx(4.0)
-    with pytest.raises(ValueError):
-        p_norm([1.0], 0.5)
-
-
-def test_p_norm_monotonicity():
-    rng = np.random.default_rng(1)
-    for _ in range(1000):
-        x = rng.standard_normal(rng.integers(1, 12))
-        assert p_norm(x, 3) <= p_norm(x, 2) + 1e-12
-        assert p_norm(x, 2) <= p_norm(x, 1) + 1e-12
-
-
 def test_cauchy_schwarz():
     rng = np.random.default_rng(2)
     for _ in range(1000):
@@ -76,7 +60,7 @@ def test_power_sum_bound():
         y = rng.standard_normal(6)
         for p in (1, 2, 3):
             lhs = np.sum(np.abs(x) ** p * np.abs(y) ** p)
-            rhs = p_norm(x, 2) ** p * p_norm(y, 2) ** p
+            rhs = np.linalg.norm(x) ** p * np.linalg.norm(y) ** p
             assert lhs <= rhs * (1 + 1e-12)
 
 

@@ -1,18 +1,22 @@
+import hashlib
 import itertools
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wjl.hashing import MERSENNE_P, hash_eval_exponents
+import wjl.sketch
+from wjl.hashing import MERSENNE_P, coefficients_for_seeds, hash_eval_exponents
 from wjl.oracle import exact_sketch_expectation
 from wjl.sketch import (
     ConfigMismatchError,
     SketchConfig,
     StreamSketch,
     cell_estimates,
+    cell_seeds,
     ingest_pair,
     new_pair,
     plan_sketch,
@@ -22,9 +26,9 @@ from wjl.sketch import (
 
 
 def _forced(table: dict) -> np.ndarray:
-    """Coefficients (a0..a7), as a 1x1 sketch's, of a polynomial over GF(p)
-    whose hash exponent at each key t is table[t]: the Lagrange interpolant
-    through the points (t, table[t]), at most 8 of them."""
+    """Coefficients (a0..a7) of a polynomial over GF(p) whose hash exponent at
+    each key t is table[t]: the Lagrange interpolant through the points
+    (t, table[t]), at most 8 of them."""
     coeffs = [0] * 8
     for ti, yi in table.items():
         basis, denom = [1], 1  # prod over the other keys tj of (x - tj), lowest degree first
@@ -35,28 +39,43 @@ def _forced(table: dict) -> np.ndarray:
         scale = yi * pow(denom, -1, MERSENNE_P) % MERSENNE_P
         for n, c in enumerate(basis):
             coeffs[n] = (coeffs[n] + scale * c) % MERSENNE_P
-    return np.array(coeffs, dtype=np.uint64).reshape(1, 1, 8)
+    return np.array(coeffs, dtype=np.uint64)
+
+
+def _force(monkeypatch, table: dict):
+    """Make every sketch cell hash with the polynomial _forced(table): the
+    coefficients go through the same product kernel as derived ones."""
+    coefficients = _forced(table)
+    monkeypatch.setattr(
+        wjl.sketch, "coefficient_words", lambda seeds: np.broadcast_to(coefficients, np.shape(seeds) + (8,))
+    )
 
 
 def test_construction():
-    s = StreamSketch(SketchConfig(r=3, m=2, seed=0))
+    cfg = SketchConfig(r=3, m=2, seed=0)
+    s = StreamSketch(cfg)
     assert s.counters.shape == (3, 2)
     assert np.all(s.counters == 0)
-    assert s._coefficients.shape == (3, 2, 8)
-    assert len({tuple(row) for row in s._coefficients.reshape(-1, 8)}) == 6
+    assert vars(s).keys() == {"config", "counters", "items_seen"}
+    coefficients = coefficients_for_seeds(cell_seeds(cfg))
+    assert coefficients.shape == (3, 2, 8)
+    assert len({tuple(row) for row in coefficients.reshape(-1, 8)}) == 6
 
 
 def test_hash_arrays_deterministic():
     a = StreamSketch(SketchConfig(r=2, m=2, seed=5))
     b = StreamSketch(SketchConfig(r=2, m=2, seed=5))
-    assert np.array_equal(a._coefficients, b._coefficients)
     c = StreamSketch(SketchConfig(r=2, m=2, seed=6))
-    assert not np.array_equal(a._coefficients, c._coefficients)
+    for s in (a, b, c):
+        s.update_many([3, 4, 9], [1.0, 1.0, 1.0])
+    assert np.array_equal(a.counters, b.counters)
+    assert not np.array_equal(a.counters, c.counters)
 
 
-def test_single_update_constant_hash():
+def test_single_update_constant_hash(monkeypatch):
     cfg = SketchConfig(r=1, m=1, seed=0)
-    s = StreamSketch(cfg, _coefficients=_forced({1: 1}))  # h(1) = i
+    _force(monkeypatch, {1: 1})  # h(1) = i
+    s = StreamSketch(cfg)
     s.update(1, 5.0)
     assert s.counters[0, 0] == 5j
     assert s.items_seen == 1
@@ -101,15 +120,15 @@ def test_estimate_empty_stream():
     assert sketch_estimate(sx, sw).value == 0.0
 
 
-def test_estimate_forced_hash_enumeration():
+def test_estimate_forced_hash_enumeration(monkeypatch):
     """Mean of the r=1, m=1 estimate over all 16 joint hash assignments."""
     x = np.array([1.0, 1.0])
     w = np.array([1.0, 1.0])
     vals = []
     for e1, e2 in itertools.product(range(4), repeat=2):
-        table = {1: e1, 2: e2}
+        _force(monkeypatch, {1: e1, 2: e2})
         cfg = SketchConfig(r=1, m=1, seed=0)
-        sx = StreamSketch(cfg, _coefficients=_forced(table))
+        sx = StreamSketch(cfg)
         sw = sx.spawn()
         for t in (1, 2):
             sx.update(t, x[t - 1])
@@ -163,7 +182,7 @@ def test_update_many_matches_update_loop():
     vals = rng.standard_normal(20)
     for t, v in enumerate(vals, start=1):
         a.update(t, v)
-    b.ingest(vals)
+    b.update_many(np.arange(1, 21), vals)
     assert np.allclose(a.counters, b.counters, atol=1e-12)
     assert a.items_seen == b.items_seen == 20
 
@@ -195,7 +214,10 @@ def test_serialization_roundtrip_and_size():
     assert back.config == cfg
     assert back.items_seen == 1
     assert np.array_equal(back.counters, s.counters)
-    assert np.array_equal(back._coefficients, s._coefficients)
+    # The hash functions come back with the seed: the same update lands alike.
+    back.update(7, 2.0)
+    s.update(7, 2.0)
+    assert np.array_equal(back.counters.view(np.uint64), s.counters.view(np.uint64))
 
 
 @settings(max_examples=60, deadline=None)
@@ -220,7 +242,10 @@ def test_serialization_roundtrip_property(r, m, seed, mode, items, data):
     assert back.config == cfg and back.items_seen == items
     assert np.array_equal(back.counters.view(np.uint64), s.counters.view(np.uint64))
     assert back.to_bytes() == blob
-    assert np.array_equal(back._coefficients, StreamSketch(cfg)._coefficients)
+    fresh, reread = StreamSketch(cfg), back.spawn()
+    fresh.update(5, 1.0)
+    reread.update(5, 1.0)
+    assert np.array_equal(fresh.counters, reread.counters)
 
 
 def _header(version=2, mode=1, r=3, m=2, seed=21, items=1):
@@ -263,10 +288,11 @@ def test_config_fits_header_fields():
             SketchConfig(r=r, m=m, seed=0)
 
 
-def test_negative_estimates_not_clamped():
+def test_negative_estimates_not_clamped(monkeypatch):
     # Force counters whose product squared has negative real part.
     cfg = SketchConfig(r=1, m=1, seed=0)
-    sx = StreamSketch(cfg, _coefficients=_forced({0: 0, 1: 1}))  # h(t) = t % 4 at t = 0, 1
+    _force(monkeypatch, {0: 0, 1: 1})  # h(t) = t % 4 at t = 0, 1
+    sx = StreamSketch(cfg)
     sw = sx.spawn()
     sx.update(0, 1.0)  # counter 1
     sw.update(1, 1.0)  # counter i; (1*i)^2 = -1
@@ -283,7 +309,7 @@ _values = st.floats(-1e6, 1e6, allow_nan=False)
 @given(table=st.dictionaries(_keys, st.integers(0, 3), min_size=1, max_size=8))
 def test_forced_coefficients_give_the_requested_exponents(table):
     keys = np.array(list(table), dtype=np.uint64)
-    assert hash_eval_exponents(_forced(table)[0, 0], keys).tolist() == list(table.values())
+    assert hash_eval_exponents(_forced(table), keys).tolist() == list(table.values())
 
 
 @settings(max_examples=40, deadline=None)
@@ -348,3 +374,62 @@ def test_cell_estimates_bit_equal_to_one_cell_sketches(data, seeds):
         sx, sw = new_pair(SketchConfig(r=1, m=1, seed=seed, mode="turnstile"))
         ingest_pair(sx, sw, np.arange(len(x)), x, w)
         assert np.float64(sketch_estimate(sx, sw).value).view(np.uint64) == got.view(np.uint64)
+
+
+# SHA-256 of the WJLS bytes (and of the cell_estimates bits) of fixed streams,
+# recorded with the Horner kernel before the hashes became one exact product.
+_GOLDEN = {
+    "batches_13x137": "9c78f15602e81c4e18c20c2c8773d2237cc624799f32349a0fe9ebdf965f6e25",
+    "updates_3x5": "61b6b176b44ace464572ddb50d68574ebce6f796e402d4c34c794712014d48e1",
+    "batch_10k_13x137": "de7f43934dd5a46f6940d90881c6c37333079c4edd0b36376879b1cd668af8eb",
+    "pair_full_field": "32e81a304228e92f55e1919b9034111fa238c3bb3a11aa2b9c8833079eea08e9",
+    "planned_37x6046": "6980cbddf2df5a6b4fa99482786f88daf723648e3f57be11fd7d0937bd3a7631",
+    "cell_estimates": "8268a255718528fdfbaf1411dcf906380f2478bd63150ad5616214bcbb0018b4",
+}
+
+
+def _sha256(*blobs) -> str:
+    h = hashlib.sha256()
+    for b in blobs:
+        h.update(b)
+    return h.hexdigest()
+
+
+def test_wjls_bytes_match_recorded_hashes():
+    rng = np.random.default_rng(2026)
+    edge = np.array([0, 1, 2, 977, 2**32 - 1, 2**32, MERSENNE_P - 2, MERSENNE_P - 1], dtype=np.uint64)
+    got = {}
+    sk = StreamSketch(SketchConfig(r=13, m=137, seed=123456789, mode="turnstile"))
+    for _ in range(4):
+        keys = np.minimum(rng.zipf(1.3, 256), 200_000) - 1
+        sk.update_many(keys, rng.standard_normal(256))
+    sk.update_many(edge, rng.standard_normal(edge.size))
+    got["batches_13x137"] = _sha256(sk.to_bytes())
+    s = StreamSketch(SketchConfig(r=3, m=5, seed=2**64 - 1))
+    for t in range(1, 40):
+        s.update(t, float(rng.standard_normal()))
+    got["updates_3x5"] = _sha256(s.to_bytes())
+    big = StreamSketch(SketchConfig(r=13, m=137, seed=4, mode="turnstile"))
+    big.update_many(rng.integers(0, 200_000, 10_000), rng.standard_normal(10_000))
+    got["batch_10k_13x137"] = _sha256(big.to_bytes())
+    sx, sw = new_pair(SketchConfig(r=5, m=7, seed=99, mode="turnstile"))
+    ts = np.concatenate([edge, rng.integers(0, MERSENNE_P, 300, dtype=np.uint64)])
+    ingest_pair(sx, sw, ts, rng.standard_normal(ts.size), np.abs(rng.standard_normal(ts.size)))
+    got["pair_full_field"] = _sha256(sx.to_bytes(), sw.to_bytes())
+    planned = StreamSketch(SketchConfig(r=37, m=6046, seed=7, mode="turnstile"))
+    planned.update_many([3, 17, 3], [1.0, -2.5, 0.25])
+    got["planned_37x6046"] = _sha256(planned.to_bytes())
+    x, w = rng.standard_normal(8), np.abs(rng.standard_normal(8))
+    got["cell_estimates"] = _sha256(cell_estimates(x, w, np.arange(5000, dtype=np.uint64)).tobytes())
+    assert got == _GOLDEN
+
+
+def test_from_bytes_allocates_about_one_copy_of_the_counters():
+    blob = StreamSketch(SketchConfig(r=37, m=6046, seed=3, mode="turnstile")).to_bytes()
+    tracemalloc.start()
+    try:
+        StreamSketch.from_bytes(blob)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * len(blob)
