@@ -18,8 +18,10 @@ S0 + 2^21 S1 + 2^42 S2 (mod p) for the slabs
     S2 = a0 b2 + a1 b1 + a2 b0.
 
 Summed over j = 0..7, every slab and every partial sum of one is an integer
-below 2^47, so the float64 products are exact whatever the BLAS summation
-order, FMA use or thread count; only the recombination runs in uint64.
+below 2^47 for coefficients in [0, p), and below 2^49 for any 64-bit
+representatives, so the float64 products are exact whatever the BLAS
+summation order, FMA use or thread count; only the recombination runs in
+uint64.
 """
 
 from __future__ import annotations
