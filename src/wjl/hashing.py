@@ -157,7 +157,7 @@ def key_powers(t) -> np.ndarray:
 
 
 def limb_exponents(coefficients: np.ndarray, powers: np.ndarray) -> np.ndarray:
-    """Unit exponents of c polynomials at u keys: uint64 (c, u) in {0,1,2,3}.
+    """Unit exponents of c polynomials at u keys: uint8 (c, u) in {0,1,2,3}.
 
     coefficients has shape (c, 8) and may hold any uint64 representatives of
     the field elements (coefficient_words, say); powers is key_powers of the
@@ -167,7 +167,7 @@ def limb_exponents(coefficients: np.ndarray, powers: np.ndarray) -> np.ndarray:
     cell = np.empty((3, 8, c))
     _limbs(np.moveaxis(coefficients, -1, 0), cell[::-1])  # rows a2, a1, a0 of a0..a7
     cell = cell.reshape(24, c).T
-    out = np.empty((c, u), dtype=np.uint64)
+    out = np.empty((c, u), dtype=np.uint8)
     step = max(1, _mix.BLOCK_ELEMS // max(1, c))
     for k0 in range(0, u, step):
         k1 = min(u, k0 + step)
@@ -197,7 +197,7 @@ def limb_exponents(coefficients: np.ndarray, powers: np.ndarray) -> np.ndarray:
         np.add(h, x2, out=h)
         np.add(h, x0, out=h)
         _canonical61(_fold61(h, x1), x1)
-        np.bitwise_and(h, np.uint64(3), out=out[:, k0:k1])
+        np.bitwise_and(h, np.uint64(3), out=out[:, k0:k1], casting="unsafe")
     return out
 
 
@@ -215,4 +215,4 @@ def hash_eval_exponents(coefficients: np.ndarray, t) -> np.ndarray:
     rows = coefficients.reshape(-1, 8)
     table = limb_exponents(rows, key_powers(keys))
     cells = np.arange(rows.shape[0]).reshape(coefficients.shape[:-1])
-    return table[cells, inverse.reshape(t.shape)]
+    return table[cells, inverse.reshape(t.shape)].astype(np.uint64)

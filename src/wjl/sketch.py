@@ -33,7 +33,7 @@ _MODES = ("timestep", "turnstile")
 # holds about _HASH_ELEMS entries, at most _MAX_HASH_CELLS cells: a batch of
 # many keys then spreads the cost of each tile's key limbs over a hundred
 # cells or more, and a batch of few keys bounds the cells' temporaries.
-_HASH_ELEMS = 1 << 19
+_HASH_ELEMS = 1 << 20
 _MAX_HASH_CELLS = 1 << 13
 
 
