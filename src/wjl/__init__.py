@@ -7,12 +7,10 @@ from .generators import SparseSpec, gen_pair
 from .oracle import (
     WeightedPair,
     distortion,
-    exact_rho_expectation,
-    exact_sketch_expectation,
+    exact_expectation,
     weighted_sq_norm,
 )
 from .projection import (
-    PlanParams,
     ProjectionMatrix,
     ProvenanceError,
     ReducedVector,
@@ -35,7 +33,6 @@ from .sketch import (
 
 __all__ = [
     "ConfigMismatchError",
-    "PlanParams",
     "ProjectionMatrix",
     "ProvenanceError",
     "ReducedVector",
@@ -45,8 +42,7 @@ __all__ = [
     "WeightedNormEstimate",
     "WeightedPair",
     "distortion",
-    "exact_rho_expectation",
-    "exact_sketch_expectation",
+    "exact_expectation",
     "gen_pair",
     "new_pair",
     "plan_sketch",

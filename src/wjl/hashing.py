@@ -35,12 +35,10 @@ from ._mix import GOLDEN, finalize_array
 MERSENNE_P = (1 << 61) - 1
 
 _P = np.uint64(MERSENNE_P)
-_MASK32 = np.uint64(0xFFFFFFFF)
-_MASK29 = np.uint64((1 << 29) - 1)
 _MASK21 = np.uint64((1 << 21) - 1)
 _MASK40 = np.uint64((1 << 40) - 1)
 _MASK19 = np.uint64((1 << 19) - 1)
-_S29, _S32, _S61 = np.uint64(29), np.uint64(32), np.uint64(61)
+_S61 = np.uint64(61)
 
 
 def _fold61(x: np.ndarray, tmp: np.ndarray) -> np.ndarray:
@@ -58,53 +56,12 @@ def _canonical61(x: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     return np.minimum(x, tmp, out=x)
 
 
-def _mul61(a, b_lo, b_hi, out, lo, tmp) -> np.ndarray:
-    """out = s == a * b (mod p) with s < 2^63 + 2^34, for a <= p + 7.
-
-    b = b_hi * 2^32 + b_lo, with b_hi None when b < 2^32.  out may be a;
-    lo and tmp are scratch of out's shape.
-    """
-    np.bitwise_and(a, _MASK32, out=lo)  # a0
-    s = np.right_shift(a, _S32, out=out)  # a1 <= 2^29
-    hi = None
-    if b_hi is None:
-        # The b-high cross terms vanish (e.g. keys below 2^32).
-        s *= b_lo                     # mid = a1 * b < 2^61
-        lo *= b_lo                    # < 2^64, exact in uint64
-    else:
-        hi = s * b_hi                 # a1 * b1 <= 2^58
-        s *= b_lo
-        s += np.multiply(lo, b_hi, out=tmp)  # mid = a1 * b0 + a0 * b1 < 2^62
-        lo *= b_lo                    # < 2^64, exact in uint64
-    # a*b = hi*2^64 + mid*2^32 + lo; 2^64 == 8, 2^61 == 1 (mod p)
-    np.right_shift(s, _S29, out=tmp)
-    s &= _MASK29
-    s <<= _S32
-    s += tmp
-    s += np.right_shift(lo, _S61, out=tmp)
-    lo &= _P
-    s += lo
-    if hi is not None:
-        hi <<= np.uint64(3)
-        s += hi
-    return s
-
-
-def _split32(b: np.ndarray):
-    # (b_lo, b_hi) operands of _mul61.
-    if b.size and int(b.max()) < 1 << 32:
-        return b, None
-    return b & _MASK32, b >> _S32
-
-
-def mulmod61(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(a * b) mod (2^61 - 1) for uint64 arrays with entries < 2^61."""
-    a = np.asarray(a, dtype=np.uint64)
-    b = np.asarray(b, dtype=np.uint64)
-    shape = np.broadcast_shapes(a.shape, b.shape)
-    out, lo, tmp = (np.empty(shape, dtype=np.uint64) for _ in range(3))
-    _mul61(a, *_split32(b), out, lo, tmp)
-    return _canonical61(_fold61(out, tmp), tmp)
+# The library never calls mulmod61; perfbench/spans.py traces it by name.
+def mulmod61(a, b) -> np.ndarray:
+    """(a * b) mod (2^61 - 1) for broadcast uint64 arrays, in Python integers."""
+    a = np.asarray(a, dtype=np.uint64).astype(object)
+    b = np.asarray(b, dtype=np.uint64).astype(object)
+    return np.asarray(a * b % MERSENNE_P, dtype=np.uint64)
 
 
 def coefficient_words(seeds: np.ndarray) -> np.ndarray:

@@ -1,10 +1,10 @@
 """Exact reference computations used as independent oracles in tests.
 
-The expectation oracles enumerate every assignment of units exhaustively
-(4^d cases), so they are exact up to floating-point rounding and completely
-independent of the seeded generation paths they are used to check.  The
-scalar hash reference evaluates one polynomial with Python integers, as a
-check on the vectorized Horner kernel.
+The expectation oracle enumerates every assignment of units exhaustively
+(4^d cases), so it is exact up to floating-point rounding and completely
+independent of the seeded generation paths it is used to check.  The scalar
+hash reference evaluates one polynomial with Python integers, as a check on
+the vectorized product kernel.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 from .hashing import MERSENNE_P, coefficients_for_seeds
 from .units import UNIT_VALUES
 
-#: Largest dimension accepted by the enumeration oracles (4^8 = 65536 cases).
+#: Largest dimension accepted by the enumeration oracle (4^8 = 65536 cases).
 MAX_ENUM_DIM = 8
 
 
@@ -57,28 +57,18 @@ def _all_unit_rows(d: int) -> np.ndarray:
     return UNIT_VALUES[exps]
 
 
-def exact_rho_expectation(x: np.ndarray, w: np.ndarray) -> float:
-    """Exact mean of the k=1 estimate over all possible matrix rows."""
-    x = np.asarray(x, dtype=np.float64)
-    w = np.asarray(w, dtype=np.float64)
-    rows = _all_unit_rows(len(x))
-    vals = ((rows @ x) * (rows @ w)) ** 2
-    return float(np.mean(vals.real))
+def exact_expectation(x: np.ndarray, w: np.ndarray) -> float:
+    """Exact mean of Re[(u.x)^2 (u.w)^2] over all 4^d unit vectors u.
 
-
-def exact_sketch_expectation(x: np.ndarray, w: np.ndarray) -> float:
-    """Exact mean of the single-cell sketch estimate over all joint hash values.
-
-    Enumerates every assignment of units to the d stream positions; the
-    counters of a 1x1 sketch are then the inner products of the assignment
-    with x and w.
+    This is the mean of one k = 1 rho term (u a matrix row) and of one 1x1
+    sketch cell (u the cell's hash at the d stream positions) alike: the
+    expression is of degree 4 in u, so its mean over 4-wise independent
+    uniform units, which both estimators supply, is its mean over all u.
     """
     x = np.asarray(x, dtype=np.float64)
     w = np.asarray(w, dtype=np.float64)
     rows = _all_unit_rows(len(x))
-    cx = rows @ x
-    cw = rows @ w
-    return float(np.mean(((cx * cw) ** 2).real))
+    return float(np.mean((((rows @ x) * (rows @ w)) ** 2).real))
 
 
 @dataclass(frozen=True)

@@ -28,9 +28,9 @@ from .units import UNIT_VALUES
 REDUCED_MAGIC = b"WJLR"
 REDUCED_VERSION = 2
 
-#: Default universal constant for the reduced-dimension planner; matches the
-#: constant appearing in the tail-bound analysis.
-DEFAULT_PLAN_CONSTANT = 576.0
+#: Universal constant of the reduced-dimension planner, from the tail-bound
+#: analysis.
+PLAN_CONSTANT = 576.0
 
 #: _RE[b, j] and _IM[b, j] are the real and imaginary parts of the unit whose
 #: exponent is the 2-bit field j of byte b: a byte of a word holds 4 rows.
@@ -206,7 +206,10 @@ def reduce(A: ProjectionMatrix, x: np.ndarray) -> ReducedVector:
 
 def reduce_sparse(A: ProjectionMatrix, indices: np.ndarray, values: np.ndarray) -> ReducedVector:
     """Reduce a sparse vector given as parallel (index, value) arrays."""
-    indices = np.asarray(indices, dtype=np.int64)
+    indices = np.asarray(indices)
+    if indices.size and indices.dtype.kind not in "iu":
+        raise ValueError(f"sparse indices must be integers, got dtype {indices.dtype}")
+    indices = indices.astype(np.int64, copy=False)
     values = np.asarray(values, dtype=np.float64)
     if indices.shape != values.shape or indices.ndim != 1:
         raise ValueError("indices and values must be parallel 1-d arrays")
@@ -232,22 +235,10 @@ def rho_pairwise(gx: ReducedVector, gy: ReducedVector, gw: ReducedVector) -> flo
     return rho(gx - gy, gw)
 
 
-@dataclass(frozen=True)
-class PlanParams:
-    epsilon: float
-    delta: float
-    delta_threshold: float
-    c: float = DEFAULT_PLAN_CONSTANT
-
-    def __post_init__(self):
-        if not 0 < self.epsilon <= 1:
-            raise ValueError("epsilon must lie in (0, 1]")
-        if not 0 < self.delta < 1:
-            raise ValueError("delta must lie in (0, 1)")
-        if self.delta_threshold <= 0 or self.c <= 0:
-            raise ValueError("distortion threshold and constant must be positive")
-
-
-def required_k(p: PlanParams) -> int:
-    """Reduced dimension sufficient for an (epsilon, delta) guarantee."""
-    return math.ceil(p.c * p.delta_threshold**4 * math.log(1.0 / p.delta) / p.epsilon**2)
+def required_k(epsilon: float, delta: float, distortion: float) -> int:
+    """Reduced dimension k for an (epsilon, delta) guarantee."""
+    if not 0 < epsilon <= 1 or not 0 < delta < 1:
+        raise ValueError("epsilon must lie in (0, 1] and delta in (0, 1)")
+    if distortion < 1:
+        raise ValueError("distortion is at least 1")
+    return math.ceil(PLAN_CONSTANT * distortion**4 * math.log(1.0 / delta) / epsilon**2)

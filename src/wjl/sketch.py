@@ -92,9 +92,13 @@ def _hash_sums(seeds: np.ndarray, ts: np.ndarray, *vectors: np.ndarray) -> list[
     ts, blocks of about BLOCK_ELEMS of them at a time, for the einsum, which
     sums them in the same order as over the whole (cells, n) array.
     """
+    ts = np.asarray(ts)
+    if ts.ndim != 1 or any(v.shape != ts.shape for v in vectors):
+        raise ValueError("keys and values must be parallel 1-d arrays")
+    if ts.size and ts.dtype.kind not in "iu":
+        raise ValueError(f"keys must be integers, got dtype {ts.dtype}")
     flat = seeds.reshape(-1)
-    keys, inverse = np.unique(np.asarray(ts, dtype=np.uint64), return_inverse=True)
-    inverse = inverse.reshape(-1)
+    keys, inverse = np.unique(ts.astype(np.uint64, copy=False), return_inverse=True)
     powers = key_powers(keys)
     rows = max(1, _mix.BLOCK_ELEMS // max(1, inverse.size))
     cells = min(max(rows, _HASH_ELEMS // max(1, keys.size)), _MAX_HASH_CELLS)
@@ -195,7 +199,6 @@ def ingest_pair(sx: StreamSketch, sw: StreamSketch, ts: np.ndarray, xs: np.ndarr
     the hashing work relative to two update_many calls.
     """
     _check_same_config(sx, sw)
-    ts = np.asarray(ts)
     xs = np.asarray(xs, dtype=np.float64)
     ws = np.asarray(ws, dtype=np.float64)
     sums_x, sums_w = _hash_sums(cell_seeds(sx.config), ts, xs, ws)

@@ -116,6 +116,23 @@ def test_records_to_csv_sorted_and_commented():
     assert lines[2].startswith("0,") and lines[3].startswith("1,")
 
 
+def test_benchmark_trace_sites_and_hooks_exist():
+    """perfbench/spans.py wraps its traced names in place and the workloads
+    call these; a deleted or renamed one fails here by name."""
+    import importlib.util
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    with spans.Tracer().installed():
+        pass
+    from wjl import cli, harness
+
+    for owner, name in [(harness, "_map"), (harness, "read_csv"), *((cli, f"run_fig{n}") for n in range(1, 5))]:
+        assert callable(getattr(owner, name, None)), name
+
+
 def _cli(*args, cwd):
     # Put the directory of the already-imported `wjl` first on the child's
     # PYTHONPATH, as an absolute path: a relative entry such as `src` would

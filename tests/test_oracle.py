@@ -6,8 +6,7 @@ import pytest
 from wjl.oracle import (
     WeightedPair,
     distortion,
-    exact_rho_expectation,
-    exact_sketch_expectation,
+    exact_expectation,
     weighted_sq_norm,
 )
 
@@ -80,9 +79,9 @@ def test_distortion_at_least_one():
 
 
 def test_exact_rho_expectation_examples():
-    assert exact_rho_expectation([1.0, 1.0], [1.0, 1.0]) == pytest.approx(2.0, abs=1e-12)
-    assert exact_rho_expectation([1.0, 2.0, 3.0], [0.0, 1.0, 0.0]) == pytest.approx(4.0, abs=1e-9)
-    assert exact_rho_expectation([1.0], [3.0]) == pytest.approx(9.0, abs=1e-12)
+    assert exact_expectation([1.0, 1.0], [1.0, 1.0]) == pytest.approx(2.0, abs=1e-12)
+    assert exact_expectation([1.0, 2.0, 3.0], [0.0, 1.0, 0.0]) == pytest.approx(4.0, abs=1e-9)
+    assert exact_expectation([1.0], [3.0]) == pytest.approx(9.0, abs=1e-12)
 
 
 def test_exact_rho_expectation_matches_norm_randomized():
@@ -92,17 +91,15 @@ def test_exact_rho_expectation_matches_norm_randomized():
             x = rng.standard_normal(d)
             w = np.abs(rng.standard_normal(d))
             truth = weighted_sq_norm(WeightedPair(x, w))
-            assert exact_rho_expectation(x, w) == pytest.approx(truth, rel=1e-9, abs=1e-9)
+            assert exact_expectation(x, w) == pytest.approx(truth, rel=1e-9, abs=1e-9)
 
 
 def test_exact_sketch_expectation_examples():
-    assert exact_sketch_expectation([1.0, 1.0], [1.0, 1.0]) == pytest.approx(2.0, abs=1e-12)
-    assert exact_sketch_expectation([2.0, 0.0], [0.0, 5.0]) == pytest.approx(0.0, abs=1e-9)
-    assert exact_sketch_expectation([1.0], [1.0]) == pytest.approx(1.0, abs=1e-12)
+    assert exact_expectation([1.0, 1.0], [1.0, 1.0]) == pytest.approx(2.0, abs=1e-12)
+    assert exact_expectation([2.0, 0.0], [0.0, 5.0]) == pytest.approx(0.0, abs=1e-9)
+    assert exact_expectation([1.0], [1.0]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_enumeration_cap():
     with pytest.raises(ValueError):
-        exact_rho_expectation(np.ones(9), np.ones(9))
-    with pytest.raises(ValueError):
-        exact_sketch_expectation(np.ones(9), np.ones(9))
+        exact_expectation(np.ones(9), np.ones(9))

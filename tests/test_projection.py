@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from wjl.oracle import WeightedPair, weighted_sq_norm
 from wjl.projection import (
-    PlanParams,
     ProjectionMatrix,
     ProvenanceError,
     ReducedVector,
@@ -159,6 +158,18 @@ def test_reduce_sparse_matches_dense():
     assert np.allclose(dense.values, sparse.values, atol=1e-15)
 
 
+@pytest.mark.parametrize("indices", [[0.5], [1.0], [True]])
+def test_reduce_sparse_rejects_non_integer_indices(indices):
+    with pytest.raises(ValueError, match="must be integers"):
+        reduce_sparse(ProjectionMatrix(k=4, d=3, seed=1), indices, [1.0])
+
+
+def test_reduce_sparse_of_empty_float_arrays_is_zero():
+    # An empty vector file reads as float64 arrays.
+    g = reduce_sparse(ProjectionMatrix(k=4, d=3, seed=1), np.array([]), np.array([]))
+    assert g.values.shape == (4,) and not g.values.any()
+
+
 def test_rho_d1_exact():
     for seed in (0, 1, 99):
         for k in (1, 5, 64):
@@ -224,15 +235,18 @@ def test_rho_pairwise_matches_reduced_difference():
 
 
 def test_required_k_examples():
-    e = math.exp(1)
-    assert required_k(PlanParams(1.0, 1 / e, 1.0, c=1.0)) == 1
-    assert required_k(PlanParams(0.5, 1 / e, 2.0, c=1.0)) == 64
+    e_inv = math.exp(-1)
+    assert required_k(1.0, e_inv, 1.0) == 576
+    assert required_k(0.5, e_inv, 2.0) == 576 * 64
     prev = None
     for eps in (0.8, 0.4, 0.2, 0.1):
-        k = required_k(PlanParams(eps, 0.01, 1.5))
+        k = required_k(eps, 0.01, 1.5)
         if prev is not None:
             assert k >= prev * 3.9  # halving epsilon roughly quadruples k
         prev = k
+    for bad in ((0.0, 0.1, 1.0), (1.5, 0.1, 1.0), (0.5, 0.0, 1.0), (0.5, 1.0, 1.0), (0.5, 0.1, 0.9)):
+        with pytest.raises(ValueError):
+            required_k(*bad)
 
 
 def test_reduced_vector_serialization():

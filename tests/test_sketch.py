@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import wjl.sketch
 from wjl.hashing import MERSENNE_P, coefficients_for_seeds, hash_eval_exponents
-from wjl.oracle import exact_sketch_expectation
+from wjl.oracle import exact_expectation
 from wjl.sketch import (
     ConfigMismatchError,
     SketchConfig,
@@ -135,7 +135,7 @@ def test_estimate_forced_hash_enumeration(monkeypatch):
             sw.update(t, w[t - 1])
         vals.append(sketch_estimate(sx, sw).value)
     assert np.mean(vals) == pytest.approx(2.0, abs=1e-12)
-    assert np.mean(vals) == pytest.approx(exact_sketch_expectation(x, w), abs=1e-12)
+    assert np.mean(vals) == pytest.approx(exact_expectation(x, w), abs=1e-12)
 
 
 def test_estimate_config_mismatch():
@@ -185,6 +185,41 @@ def test_update_many_matches_update_loop():
     b.update_many(np.arange(1, 21), vals)
     assert np.allclose(a.counters, b.counters, atol=1e-12)
     assert a.items_seen == b.items_seen == 20
+
+
+def test_update_many_rejects_values_of_another_shape():
+    sk = StreamSketch(SketchConfig(r=2, m=3, seed=1))
+    for ts, vs in (([1, 2, 3], [5.0]), ([[1, 2]], [[5.0, 1.0]]), (7, 5.0)):
+        with pytest.raises(ValueError, match="parallel 1-d"):
+            sk.update_many(ts, vs)
+    assert sk.items_seen == 0 and not sk.counters.any()
+
+
+def test_ingest_pair_rejects_weights_of_another_length():
+    sx, sw = new_pair(SketchConfig(r=2, m=3, seed=1, mode="turnstile"))
+    with pytest.raises(ValueError, match="parallel 1-d"):
+        ingest_pair(sx, sw, [1, 2, 3], [1.0, 2.0, 3.0], [1.0])
+    assert sx.items_seen == sw.items_seen == 0
+
+
+def test_cell_estimates_rejects_vectors_of_different_lengths():
+    with pytest.raises(ValueError, match="parallel 1-d"):
+        cell_estimates(np.ones(4), np.ones(1), np.arange(3))
+
+
+@pytest.mark.parametrize("keys", [[1.7], [1.0], [True]])
+def test_update_many_rejects_non_integer_keys(keys):
+    sk = StreamSketch(SketchConfig(r=2, m=3, seed=1))
+    with pytest.raises(ValueError, match="keys must be integers"):
+        sk.update_many(keys, [1.0])
+    assert sk.items_seen == 0 and not sk.counters.any()
+
+
+def test_empty_float_batch_is_a_no_op():
+    # An empty stream file reads as float64 arrays.
+    sk = StreamSketch(SketchConfig(r=2, m=3, seed=1))
+    sk.update_many(np.array([]), np.array([]))
+    assert sk.items_seen == 0 and not sk.counters.any()
 
 
 def test_cell_estimates_matches_sketch_objects():
