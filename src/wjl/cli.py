@@ -65,11 +65,14 @@ def _read_pairs(text: str, source) -> tuple[np.ndarray, np.ndarray]:
         ln = ln.strip()
         if not ln or ln[0].isalpha():
             continue
-        i, v = ln.split(",")
-        value = float(v)
+        try:
+            i, v = ln.split(",")
+            index, value = int(i), float(v)
+        except ValueError as exc:
+            raise ValueError(f"{source} line {lineno}: {exc}") from None
         if not math.isfinite(value):
             raise ValueError(f"{source} line {lineno}: non-finite value {v.strip()}")
-        idx.append(int(i))
+        idx.append(index)
         vals.append(value)
     return np.array(idx), np.array(vals)
 

@@ -59,6 +59,8 @@ class ExperimentConfig:
             raise ValueError("k_list must not be empty")
         if min(self.k_list) < 1:
             raise ValueError(f"k_list values must be positive, got {min(self.k_list)}")
+        if self.threads < 1:
+            raise ValueError(f"threads must be positive, got {self.threads}")
 
     @classmethod
     def preset(cls, scale: str, experiment: str, **overrides) -> "ExperimentConfig":
@@ -254,37 +256,39 @@ def sketch_success_rate(
     pair: WeightedPair,
     epsilon: float,
     r: int,
-    m: int,
+    widths: tuple[int, ...],
     n_seeds: int,
     master_seed: int,
-) -> float:
-    """Fraction of independent sketches whose estimate lands within epsilon."""
+) -> list[float]:
+    """Per width m, the fraction of independent r x m sketches whose estimate
+    lands within epsilon; each seed is hashed once, and each width reads a corner."""
     truth = weighted_sq_norm(pair)
     union = np.union1d(np.flatnonzero(pair.x), np.flatnonzero(pair.w))
     xs, ws = pair.x[union], pair.w[union]
-    hits = 0
+    hits = [0] * len(widths)
     for s in range(n_seeds):
-        cfg = SketchConfig(r=r, m=m, seed=mix2(master_seed, _TAG_SKETCH, s), mode="turnstile")
+        cfg = SketchConfig(r=r, m=max(widths), seed=mix2(master_seed, _TAG_SKETCH, s), mode="turnstile")
         sx, sw = new_pair(cfg)
         ingest_pair(sx, sw, union, xs, ws)
-        est = sketch_estimate(sx, sw).value
-        if abs(est - truth) <= epsilon * truth:
-            hits += 1
-    return hits / n_seeds
+        for i, m in enumerate(widths):
+            est = sketch_estimate(sx.corner(m), sw.corner(m)).value
+            hits[i] += abs(est - truth) <= epsilon * truth
+    return [h / n_seeds for h in hits]
 
 
 def run_sketch_eval(cfg: ExperimentConfig, n_seeds: int = SCALES["paper"]["sketch_seeds"]) -> tuple[list[dict], Path]:
     """Empirical (epsilon, delta) check of the planned sketch dimensions.
 
-    Includes a deliberately undersized m/4 arm as a sanity direction.
+    Includes a deliberately undersized m/4 arm, from the same sketches, as a sanity direction.
     """
     spec = replace(cfg.spec, l_x=2, l_w=2, l_overlap=2, seed=mix2(cfg.master_seed, _TAG_PAIR, 0))
     pair = gen_pair(spec)
     dist = distortion(pair)
     r, m = plan_sketch(cfg.epsilon, cfg.delta, dist)
+    widths = (m, max(1, m // 4))
+    rates = sketch_success_rate(pair, cfg.epsilon, r, widths, n_seeds, cfg.master_seed)
     rows = []
-    for arm, m_used in (("planned", m), ("undersized", max(1, m // 4))):
-        rate = sketch_success_rate(pair, cfg.epsilon, r, m_used, n_seeds, cfg.master_seed)
+    for arm, m_used, rate in zip(("planned", "undersized"), widths, rates):
         rows.append(
             {
                 "arm": arm,

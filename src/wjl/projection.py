@@ -103,6 +103,8 @@ class ReducedVector:
     dims_d: int
 
     def __post_init__(self):
+        if self.k < 1 or self.dims_d < 1:
+            raise ValueError(f"reduced vector k and d must be positive, got k={self.k}, d={self.dims_d}")
         self.values = np.asarray(self.values, dtype=np.complex128)
         if self.values.shape != (self.k,):
             raise ValueError("values length must equal k")

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -127,6 +127,16 @@ class StreamSketch:
     def spawn(self) -> "StreamSketch":
         """Empty sketch with this sketch's config, hence its hash polynomials."""
         return StreamSketch(self.config)
+
+    def corner(self, m: int) -> "StreamSketch":
+        """A copy of the first m columns: the r x m sketch of this seed, mode
+        and stream, bit for bit, since cell_seeds depends on (seed, i, j) alone."""
+        if not 1 <= m <= self.config.m:
+            raise ValueError(f"corner width must lie in [1, {self.config.m}], got {m}")
+        out = StreamSketch(replace(self.config, m=m))
+        out.counters[...] = self.counters[:, :m]
+        out.items_seen = self.items_seen
+        return out
 
     def update(self, t: int, v: float):
         """Add v * h_ij(t) to every counter.

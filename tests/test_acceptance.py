@@ -197,7 +197,7 @@ def test_c10_sketch_eps_delta_guarantee():
     dist = distortion(pair)
     assert dist <= 1.5
     r, m = plan_sketch(0.3, 0.05, dist)
-    rate = sketch_success_rate(pair, 0.3, r, m, 500, 110)
+    (rate,) = sketch_success_rate(pair, 0.3, r, (m,), 500, 110)
     _report(
         10,
         "(eps, delta) sketch guarantee",

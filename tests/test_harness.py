@@ -63,9 +63,16 @@ def test_fig2_shares_matrix_seed_and_centers(tmp_path):
     assert abs(ratios.mean() - 1.0) <= 4 * se
 
 
-def test_sketch_eval_direction(tmp_path):
+def test_sketch_eval_direction(tmp_path, monkeypatch):
+    import wjl.harness
+
+    calls = []
+    ingest = wjl.harness.ingest_pair
+    monkeypatch.setattr(wjl.harness, "ingest_pair", lambda *args: calls.append(1) or ingest(*args))
     cfg = _small_cfg("sketch-eval", tmp_path, spec=SparseSpec(d=200, l_x=2, l_w=2, l_overlap=2))
     rows, path = run_sketch_eval(cfg, n_seeds=60)
+    # Both arms are read from one sketch pair per seed.
+    assert len(calls) == 60
     by_arm = {r["arm"]: r for r in rows}
     assert by_arm["planned"]["success_rate"] >= by_arm["undersized"]["success_rate"]
     assert path.exists()
@@ -257,6 +264,24 @@ def test_cli_rejects_non_finite_values(tmp_path, capsys, command, text, line, ba
     assert not (tmp_path / "out.bin").exists()
 
 
+@pytest.mark.parametrize("command, text, message", [
+    ("sketch", "t,value\n1,2.0,3\n", "too many values to unpack (expected 2)"),
+    ("reduce", "index,value\n0,1.0\n1\n", "not enough values to unpack (expected 2, got 1)"),
+    ("sketch", "1.5,2\n", "invalid literal for int() with base 10: '1.5'"),
+    ("reduce", "1,abc\n", "could not convert string to float: 'abc'"),
+])
+def test_cli_rejects_malformed_fields(tmp_path, capsys, command, text, message):
+    from wjl.cli import main
+
+    src = tmp_path / "in.csv"
+    src.write_text(text)
+    extra = ["--d", "5", "--k-dim", "8"] if command == "reduce" else []
+    assert main([command, str(src), *extra, "--output", str(tmp_path / "out.bin")]) == 2
+    line = text.count("\n")  # the last line is the bad one
+    assert capsys.readouterr().err == f"error: {src} line {line}: {message}\n"
+    assert not (tmp_path / "out.bin").exists()
+
+
 @pytest.mark.parametrize("command", ["reduce", "sketch"])
 def test_cli_rejects_index_beyond_64_bits(tmp_path, capsys, command):
     from wjl.cli import main
@@ -307,6 +332,21 @@ def test_cli_rejects_empty_or_nonpositive_k_list(tmp_path, capsys, command, k_li
     cfg.write_text(f'{{"k_list": {k_list}}}')
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, flags, config, bad", [
+    ("fig1", ["--threads", "0"], "{}", 0),
+    ("sketch-eval", ["--threads", "-3"], "{}", -3),
+    ("fig2", [], '{"threads": 0}', 0),
+])
+def test_cli_rejects_nonpositive_threads(tmp_path, capsys, command, flags, config, bad):
+    from wjl.cli import main
+
+    (tmp_path / "cfg.json").write_text(config)
+    args = [command, *flags, "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "out")]
+    assert main(args) == 2
+    assert capsys.readouterr().err == f"error: threads must be positive, got {bad}\n"
     assert not (tmp_path / "out").exists()
 
 

@@ -1,11 +1,12 @@
 import itertools
 import math
+import operator
 import struct
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from wjl.oracle import WeightedPair, weighted_sq_norm
@@ -204,6 +205,28 @@ def test_rho_provenance_check():
         rho(reduce(A, x), reduce(B, x))
 
 
+_matrices = st.tuples(st.integers(1, 4), st.integers(1, 2**32 - 1), st.integers(0, 2**64 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=_matrices, b=_matrices, keep=st.tuples(st.booleans(), st.booleans(), st.booleans()))
+def test_any_provenance_mismatch_raises(a, b, keep):
+    b = tuple(x if same else y for x, y, same in zip(a, b, keep))  # (k, d, seed)
+    assume(a != b)
+    ga, gb = (ReducedVector(k, np.ones(k), seed, d) for k, d, seed in (a, b))
+    combines = (
+        rho,
+        operator.add,
+        operator.sub,
+        lambda u, v: rho_pairwise(u, v, v),
+        lambda u, v: rho_pairwise(u, u, v),
+    )
+    for u, v in ((ga, gb), (gb, ga)):
+        for combine in combines:
+            with pytest.raises(ProvenanceError):
+                combine(u, v)
+
+
 def test_rho_scale_equivariance():
     rng = np.random.default_rng(8)
     A = ProjectionMatrix(k=8, d=30, seed=3)
@@ -308,6 +331,47 @@ def test_reduced_vector_trailing_bytes(tmp_path, capsys):
     (tmp_path / "ok.wjlr").write_bytes(g.to_bytes())
     assert main(["estimate", str(tmp_path / "ok.wjlr"), str(tmp_path / "long.wjlr")]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("k, d", [(0, 20), (1, 0), (0, 0)])
+def test_reduced_vector_header_with_zero_dimension(tmp_path, capsys, k, d):
+    from wjl.cli import main
+
+    # No matrix has k or d below 1, so no writer made this file.
+    data = b"WJLR" + struct.pack("<HIIQ", 2, k, d, 31) + np.ones(k, dtype="<c16").tobytes()
+    message = f"reduced vector k and d must be positive, got k={k}, d={d}"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ReducedVector.from_bytes(data)
+    (tmp_path / "zero.wjlr").write_bytes(data)
+    assert main(["estimate", str(tmp_path / "zero.wjlr"), str(tmp_path / "zero.wjlr")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@settings(max_examples=200, deadline=None)
+@example(k=1, d=20, seed=31, cut=22, pos=6, byte=0)  # k = 0, and the file ends with the header
+@example(k=1, d=1, seed=31, cut=38, pos=10, byte=0)  # d = 0
+@given(
+    k=st.integers(1, 3),
+    d=st.integers(1, 300),
+    seed=st.integers(0, 2**64 - 1),
+    cut=st.integers(0, 80),
+    pos=st.integers(0, 80),
+    byte=st.integers(0, 255),
+)
+def test_wjlr_reader_round_trips_or_rejects_any_cut_or_byte(k, d, seed, cut, pos, byte):
+    """A valid blob cut to its first cut bytes, then byte pos set to byte,
+    reads back to the same bytes or raises ValueError."""
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+    blob = bytearray(ReducedVector(k, values, seed, d).to_bytes()[:cut])
+    if pos < len(blob):
+        blob[pos] = byte
+    try:
+        back = ReducedVector.from_bytes(bytes(blob))
+    except ValueError:
+        return
+    assert back.to_bytes() == blob
+    assert back.k >= 1 and back.dims_d >= 1  # as for every projection matrix
 
 
 def test_matrix_dimensions_fit_header_fields():

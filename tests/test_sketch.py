@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import wjl.sketch
@@ -143,6 +143,25 @@ def test_estimate_config_mismatch():
     sw = StreamSketch(SketchConfig(r=2, m=2, seed=2))
     with pytest.raises(ConfigMismatchError):
         sketch_estimate(sx, sw)
+
+
+_configs = st.tuples(
+    st.integers(1, 3), st.integers(1, 3), st.integers(0, 2**64 - 1), st.sampled_from(["timestep", "turnstile"])
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=_configs, b=_configs, keep=st.tuples(st.booleans(), st.booleans(), st.booleans(), st.booleans()))
+def test_any_config_mismatch_raises(a, b, keep):
+    b = tuple(x if same else y for x, y, same in zip(a, b, keep))  # (r, m, seed, mode)
+    assume(a != b)
+    sa, sb = StreamSketch(SketchConfig(*a)), StreamSketch(SketchConfig(*b))
+    combines = (sketch_estimate, sketch_merge, lambda u, v: ingest_pair(u, v, [1], [1.0], [1.0]))
+    for u, v in ((sa, sb), (sb, sa)):
+        for combine in combines:
+            with pytest.raises(ConfigMismatchError):
+                combine(u, v)
+    assert sa.items_seen == sb.items_seen == 0 and not sa.counters.any() and not sb.counters.any()
 
 
 def test_plan_sketch_examples():
@@ -316,6 +335,34 @@ def test_truncated_sketch_file(cut):
         StreamSketch.from_bytes(s.to_bytes()[:cut])
 
 
+@settings(max_examples=200, deadline=None)
+@example(r=2, m=1, seed=21, mode=1, cut=47, pos=7, byte=1)  # a 1x1 sketch: reads back
+@given(
+    r=st.integers(1, 3),
+    m=st.integers(1, 3),
+    seed=st.integers(0, 2**64 - 1),
+    mode=st.integers(0, 1),
+    cut=st.integers(0, 180),
+    pos=st.integers(0, 180),
+    byte=st.integers(0, 255),
+)
+def test_wjls_reader_round_trips_or_rejects_any_cut_or_byte(r, m, seed, mode, cut, pos, byte):
+    """A valid blob cut to its first cut bytes, then byte pos set to byte,
+    reads back to the same bytes or raises ValueError."""
+    rng = np.random.default_rng(seed)
+    s = StreamSketch(SketchConfig(r=r, m=m, seed=seed, mode=("timestep", "turnstile")[mode]))
+    s.counters = rng.standard_normal((r, m)) + 1j * rng.standard_normal((r, m))
+    s.items_seen = int(rng.integers(0, 2**63))
+    blob = bytearray(s.to_bytes()[:cut])
+    if pos < len(blob):
+        blob[pos] = byte
+    try:
+        back = StreamSketch.from_bytes(bytes(blob))
+    except ValueError:
+        return
+    assert back.to_bytes() == blob
+
+
 def test_config_fits_header_fields():
     SketchConfig(r=2**32 - 1, m=1, seed=0)  # validation only; nothing is allocated
     for r, m in ((2**32, 1), (1, 2**32)):
@@ -374,6 +421,49 @@ def test_update_loop_update_many_and_ingest_pair_agree(r, m, seed, updates, chun
         for other in sketches[1:]:
             assert np.all(np.abs(other.counters - sketches[0].counters) <= tol)
             assert other.items_seen == sketches[0].items_seen == len(vs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    r=st.integers(1, 5),
+    m=st.integers(1, 400),
+    data=st.data(),
+    seed=st.integers(0, 2**64 - 1),
+    mode=st.sampled_from(["timestep", "turnstile"]),
+    updates=st.lists(st.tuples(_keys, _values, _values), min_size=1, max_size=40),
+    more=st.lists(st.tuples(_keys, _values), min_size=1, max_size=10),
+)
+def test_corner_is_the_narrower_sketch_of_the_same_stream(r, m, data, seed, mode, updates, more):
+    narrow = data.draw(st.integers(1, m))
+    ts, xs, ws = (np.array(c) for c in zip(*updates))
+    ts = ts.astype(np.uint64)
+    wide_x, wide_w = new_pair(SketchConfig(r=r, m=m, seed=seed, mode=mode))
+    fresh_x, fresh_w = new_pair(SketchConfig(r=r, m=narrow, seed=seed, mode=mode))
+    for sx, sw in ((wide_x, wide_w), (fresh_x, fresh_w)):
+        ingest_pair(sx, sw, ts, xs, ws)
+    corner_x, corner_w = wide_x.corner(narrow), wide_w.corner(narrow)
+    more_ts, more_vs = (np.array(c) for c in zip(*more))
+    for step in range(2):
+        if step:  # one more batch into each
+            corner_x.update_many(more_ts.astype(np.uint64), more_vs)
+            fresh_x.update_many(more_ts.astype(np.uint64), more_vs)
+        for got, want in ((corner_x, fresh_x), (corner_w, fresh_w)):
+            assert got.config == want.config and got.items_seen == want.items_seen
+            assert np.array_equal(got.counters.view(np.uint64), want.counters.view(np.uint64))
+            assert got.to_bytes() == want.to_bytes()
+        got, want = sketch_estimate(corner_x, corner_w), sketch_estimate(fresh_x, fresh_w)
+        assert np.float64(got.value).view(np.uint64) == np.float64(want.value).view(np.uint64)
+        assert (got.r_used, got.m_used) == (want.r_used, want.m_used) == (r, narrow)
+    # A copy, not a view: the wide sketch kept its counters.
+    assert not np.shares_memory(wide_x.counters, corner_x.counters)
+
+
+def test_corner_width_must_lie_in_the_sketch():
+    sk = StreamSketch(SketchConfig(r=3, m=4, seed=1))
+    assert sk.corner(4).config == sk.config
+    for bad in (0, -1, 5):
+        with pytest.raises(ValueError, match=f"^corner width must lie in \\[1, 4\\], got {bad}$"):
+            sk.corner(bad)
 
 
 @settings(max_examples=40, deadline=None)
