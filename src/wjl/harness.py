@@ -144,11 +144,17 @@ def _write(cfg: ExperimentConfig, name: str, text: str) -> Path:
     return path
 
 
-def _map(cfg: ExperimentConfig, fn, args_list):
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
+def _pool_map(threads: int, fn, args_list) -> list:
+    """[fn(a) for a in args_list], on a pool of that many threads when above 1."""
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(fn, args_list))
     return [fn(a) for a in args_list]
+
+
+def _map(cfg: ExperimentConfig, fn, args_list):
+    """The fig trials' map: one call of fn per trial."""
+    return _pool_map(cfg.threads, fn, args_list)
 
 
 def _sparse(pair: WeightedPair) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -259,21 +265,30 @@ def sketch_success_rate(
     widths: tuple[int, ...],
     n_seeds: int,
     master_seed: int,
+    threads: int = 1,
 ) -> list[float]:
     """Per width m, the fraction of independent r x m sketches whose estimate
-    lands within epsilon; each seed is hashed once, and each width reads a corner."""
+    lands within epsilon; each seed is hashed once, the widest arm reads the
+    pair itself and every narrower one a corner.  Seeds run on a pool of that
+    many threads, and the rates do not depend on it."""
     truth = weighted_sq_norm(pair)
     union = np.union1d(np.flatnonzero(pair.x), np.flatnonzero(pair.w))
     xs, ws = pair.x[union], pair.w[union]
-    hits = [0] * len(widths)
-    for s in range(n_seeds):
-        cfg = SketchConfig(r=r, m=max(widths), seed=mix2(master_seed, _TAG_SKETCH, s), mode="turnstile")
+    widest = max(widths)
+
+    def seed_hits(s):
+        cfg = SketchConfig(r=r, m=widest, seed=mix2(master_seed, _TAG_SKETCH, s), mode="turnstile")
         sx, sw = new_pair(cfg)
         ingest_pair(sx, sw, union, xs, ws)
-        for i, m in enumerate(widths):
-            est = sketch_estimate(sx.corner(m), sw.corner(m)).value
-            hits[i] += abs(est - truth) <= epsilon * truth
-    return [h / n_seeds for h in hits]
+        hits = []
+        for m in widths:
+            est = sketch_estimate(*((sx, sw) if m == widest else (sx.corner(m), sw.corner(m)))).value
+            hits.append(abs(est - truth) <= epsilon * truth)
+        return hits
+
+    # _pool_map, not _map: _map maps fig trials, and a seed is not one.
+    per_seed = _pool_map(threads, seed_hits, range(n_seeds))
+    return [sum(hits) / n_seeds for hits in zip(*per_seed)]
 
 
 def run_sketch_eval(cfg: ExperimentConfig, n_seeds: int = SCALES["paper"]["sketch_seeds"]) -> tuple[list[dict], Path]:
@@ -286,7 +301,7 @@ def run_sketch_eval(cfg: ExperimentConfig, n_seeds: int = SCALES["paper"]["sketc
     dist = distortion(pair)
     r, m = plan_sketch(cfg.epsilon, cfg.delta, dist)
     widths = (m, max(1, m // 4))
-    rates = sketch_success_rate(pair, cfg.epsilon, r, widths, n_seeds, cfg.master_seed)
+    rates = sketch_success_rate(pair, cfg.epsilon, r, widths, n_seeds, cfg.master_seed, cfg.threads)
     rows = []
     for arm, m_used, rate in zip(("planned", "undersized"), widths, rates):
         rows.append(

@@ -118,13 +118,13 @@ def limb_exponents(coefficients: np.ndarray, powers: np.ndarray) -> np.ndarray:
 
     coefficients has shape (c, 8) and may hold any uint64 representatives of
     the field elements (coefficient_words, say); powers is key_powers of the
-    u keys.  Runs over tiles of about BLOCK_ELEMS cell-keys.
+    u keys.  Runs key-major over tiles of about BLOCK_ELEMS cell-keys.
     """
     c, u = coefficients.shape[0], powers.shape[1]
     cell = np.empty((3, 8, c))
     _limbs(np.moveaxis(coefficients, -1, 0), cell[::-1])  # rows a2, a1, a0 of a0..a7
-    cell = cell.reshape(24, c).T
-    out = np.empty((c, u), dtype=np.uint8)
+    cell = cell.reshape(24, c)
+    out = np.empty((u, c), dtype=np.uint8)
     step = max(1, _mix.BLOCK_ELEMS // max(1, c))
     for k0 in range(0, u, step):
         k1 = min(u, k0 + step)
@@ -137,8 +137,8 @@ def limb_exponents(coefficients: np.ndarray, powers: np.ndarray) -> np.ndarray:
         keys = np.empty((24, 3, w))
         for s in range(3):
             keys[:, s] = rows[s : s + 3].reshape(24, w)
-        x = np.empty((3, c, w), dtype=np.int64)
-        np.copyto(x, np.matmul(cell, keys.reshape(24, 3 * w)).reshape(c, 3, w).transpose(1, 0, 2), casting="unsafe")
+        # (3w x 24) . (24 x c): slab s is the contiguous block x[s] of (w, c).
+        x = np.matmul(keys.reshape(24, 3 * w).T, cell).reshape(3, w, c).astype(np.int64)
         x0, x1, x2 = x.view(np.uint64)
         # h == S0 + 2^21 S1 + 2^42 S2 (mod p), with 2^21 S1 == (S1 mod 2^40)
         # 2^21 + (S1 >> 40) and 2^42 S2 == (S2 mod 2^19) 2^42 + (S2 >> 19).
@@ -154,8 +154,8 @@ def limb_exponents(coefficients: np.ndarray, powers: np.ndarray) -> np.ndarray:
         np.add(h, x2, out=h)
         np.add(h, x0, out=h)
         _canonical61(_fold61(h, x1), x1)
-        np.bitwise_and(h, np.uint64(3), out=out[:, k0:k1], casting="unsafe")
-    return out
+        np.bitwise_and(h, np.uint64(3), out=out[k0:k1], casting="unsafe")
+    return np.ascontiguousarray(out.T)
 
 
 def hash_eval_exponents(coefficients: np.ndarray, t) -> np.ndarray:

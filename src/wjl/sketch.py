@@ -88,9 +88,10 @@ def _hash_sums(seeds: np.ndarray, ts: np.ndarray, *vectors: np.ndarray) -> list[
     derives its coefficients inside the loop and evaluates them at every
     distinct key with the exact product (limb_exponents), so memory grows
     with neither r x m nor the stream (it grows with n past BLOCK_ELEMS
-    keys).  Each cell's units are then laid out contiguously in the order of
-    ts, blocks of about BLOCK_ELEMS of them at a time, for the einsum, which
-    sums them in the same order as over the whole (cells, n) array.
+    keys).  Each block's units are looked up in the small (cells, keys)
+    table, then gathered contiguously in the order of ts, blocks of about
+    BLOCK_ELEMS of them at a time, for the einsum, which sums them in the
+    same order as over the whole (cells, n) array.
     """
     ts = np.asarray(ts)
     if ts.ndim != 1 or any(v.shape != ts.shape for v in vectors):
@@ -106,7 +107,7 @@ def _hash_sums(seeds: np.ndarray, ts: np.ndarray, *vectors: np.ndarray) -> list[
     for start in range(0, flat.size, cells):
         e = limb_exponents(coefficient_words(flat[start : start + cells]), powers)  # (cells, keys)
         for r0 in range(0, e.shape[0], rows):
-            units = np.take(UNIT_VALUES, np.take(e[r0 : r0 + rows], inverse, axis=1))  # (cells, n)
+            units = UNIT_VALUES.take(e[r0 : r0 + rows]).take(inverse, axis=1)  # (cells, n)
             for out, v in zip(sums, vectors):
                 out[start + r0 : start + r0 + units.shape[0]] = np.einsum("cn,n->c", units, v)
     return [s.reshape(seeds.shape) for s in sums]

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import wjl
-from wjl.generators import SparseSpec
+from wjl.generators import SparseSpec, gen_pair
 from wjl.harness import (
     ExperimentConfig,
     read_csv,
@@ -17,6 +17,7 @@ from wjl.harness import (
     run_fig2,
     run_sketch_eval,
     run_verify,
+    sketch_success_rate,
 )
 from wjl.projection import ProjectionMatrix, reduce_sparse
 
@@ -76,6 +77,26 @@ def test_sketch_eval_direction(tmp_path, monkeypatch):
     by_arm = {r["arm"]: r for r in rows}
     assert by_arm["planned"]["success_rate"] >= by_arm["undersized"]["success_rate"]
     assert path.exists()
+
+
+def test_sketch_success_rate_does_not_depend_on_threads():
+    # A 5 x 12 sketch misses often enough that both rates lie inside (0, 1).
+    pair = gen_pair(SparseSpec(d=200, l_x=4, l_w=4, l_overlap=3, seed=5))
+    rates = sketch_success_rate(pair, 0.3, 5, (12, 3), 40, 9)
+    assert all(0 < rate < 1 for rate in rates)
+    assert sketch_success_rate(pair, 0.3, 5, (12, 3), 40, 9, threads=3) == rates
+
+
+def test_sketch_eval_maps_seeds_over_threads_but_not_as_fig_trials(tmp_path, monkeypatch):
+    import wjl.harness
+
+    pools = []
+    pool_map = wjl.harness._pool_map
+    monkeypatch.setattr(wjl.harness, "_pool_map", lambda n, fn, args: pools.append(n) or pool_map(n, fn, args))
+    monkeypatch.setattr(wjl.harness, "_map", lambda *args: pytest.fail("sketch-eval mapped seeds as fig trials"))
+    cfg = _small_cfg("sketch-eval", tmp_path, threads=3, spec=SparseSpec(d=200, l_x=2, l_w=2, l_overlap=2))
+    run_sketch_eval(cfg, n_seeds=4)
+    assert pools == [3]
 
 
 def test_run_verify_all_pass():

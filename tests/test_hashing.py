@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from wjl import _mix
 from wjl.hashing import (
     MERSENNE_P,
     coefficient_words,
@@ -115,6 +116,30 @@ def test_product_kernel_matches_scalar_horner(coefficients, words, keys):
     reduced = HashPolynomial(tuple(w % MERSENNE_P for w in words))
     got = limb_exponents(np.array([words], dtype=np.uint64), key_powers(t))
     assert got[0].tolist() == [hash_eval(reduced, k) for k in keys]
+
+
+_WORDS = st.one_of(st.sampled_from([0, 1, MERSENNE_P - 1, MERSENNE_P, 2**64 - 1]), st.integers(0, 2**64 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    c=st.integers(1, 40),
+    u=st.integers(1, 30),
+    budget=st.one_of(st.sampled_from([1, 2]), st.integers(1, 2_000)),
+    data=st.data(),
+)
+def test_limb_exponents_match_python_integers_for_any_tile(c, u, budget, data):
+    # Budgets below c give tiles of one key; the table is the same in all.
+    words = data.draw(st.lists(_WORDS, min_size=8 * c, max_size=8 * c))
+    keys = data.draw(st.lists(_KEYS, min_size=u, max_size=u))
+    coefficients = np.array(words, dtype=np.uint64).reshape(c, 8)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_mix, "BLOCK_ELEMS", budget)
+        got = limb_exponents(coefficients, key_powers(np.array(keys, dtype=np.uint64)))
+    assert got.dtype == np.uint8 and got.shape == (c, u) and got.flags.c_contiguous
+    want = [[sum(w * t**j for j, w in enumerate(row)) % MERSENNE_P & 3 for t in keys]
+            for row in coefficients.tolist()]
+    assert got.tolist() == want
 
 
 def test_joint_distribution_eight_points_small_field():
