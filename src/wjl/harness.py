@@ -123,17 +123,16 @@ def records_to_csv(records: list[TrialRecord], meta: dict) -> str:
 
 
 def read_csv(text: str) -> tuple[dict, list[dict]]:
-    """Parse a harness CSV back into (metadata, row dicts)."""
+    """Parse a harness CSV back into (metadata, row dicts); ValueError when it
+    has no header line or a metadata line that is not a JSON object."""
     lines = [ln for ln in text.splitlines() if ln]
-    meta = {}
-    if lines and lines[0].startswith("#"):
-        meta = json.loads(lines[0][1:].strip())
-        lines = lines[1:]
+    meta = json.loads(lines.pop(0)[1:]) if lines and lines[0].startswith("#") else {}
+    if not isinstance(meta, dict):
+        raise ValueError("CSV metadata line must hold a JSON object")
+    if not lines:
+        raise ValueError("CSV has no header line")
     header = lines[0].split(",")
-    rows = []
-    for ln in lines[1:]:
-        rows.append(dict(zip(header, ln.split(","))))
-    return meta, rows
+    return meta, [dict(zip(header, ln.split(","))) for ln in lines[1:]]
 
 
 def _write(cfg: ExperimentConfig, name: str, text: str) -> Path:

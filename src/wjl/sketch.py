@@ -80,18 +80,19 @@ def cell_seeds(config: SketchConfig) -> np.ndarray:
     return finalize_array(z)
 
 
-def _hash_sums(seeds: np.ndarray, ts: np.ndarray, *vectors: np.ndarray) -> list[np.ndarray]:
-    """Per cell, sum_n v[n] * h(ts[n]) for each vector v; one array of seeds' shape each.
+def _hash_sums(seeds: np.ndarray, ts: np.ndarray, vectors: list[np.ndarray], counters: list[np.ndarray]):
+    """Add sum_n v[n] * h(ts[n]) to every cell of the C-contiguous counters
+    paired with each vector v, arrays of seeds' shape; no add precedes a check.
 
     Cell c hashes with the polynomial of coefficient_words(seeds[c]).  The
     key powers are computed once, for the distinct keys.  Each run of cells
     derives its coefficients inside the loop and evaluates them at every
-    distinct key with the exact product (limb_exponents), so memory grows
-    with neither r x m nor the stream (it grows with n past BLOCK_ELEMS
-    keys).  Each block's units are looked up in the small (cells, keys)
-    table, then gathered contiguously in the order of ts, blocks of about
-    BLOCK_ELEMS of them at a time, for the einsum, which sums them in the
-    same order as over the whole (cells, n) array.
+    distinct key with the exact product (limb_exponents).  Each block's units
+    are looked up in the small (cells, keys) table, then gathered contiguously
+    in the order of ts, about BLOCK_ELEMS of them at a time, for the einsum,
+    which sums them in the same order as over the whole (cells, n) array.
+    Memory goes to the seeds (8 bytes a cell, 24 while cell_seeds derives
+    them) and the runs' temporaries, which grow with n past BLOCK_ELEMS keys.
     """
     ts = np.asarray(ts)
     if ts.ndim != 1 or any(v.shape != ts.shape for v in vectors):
@@ -103,14 +104,13 @@ def _hash_sums(seeds: np.ndarray, ts: np.ndarray, *vectors: np.ndarray) -> list[
     powers = key_powers(keys)
     rows = max(1, _mix.BLOCK_ELEMS // max(1, inverse.size))
     cells = min(max(rows, _HASH_ELEMS // max(1, keys.size)), _MAX_HASH_CELLS)
-    sums = [np.empty(flat.size, dtype=np.complex128) for _ in vectors]
+    outs = [c.reshape(-1) for c in counters]
     for start in range(0, flat.size, cells):
         e = limb_exponents(coefficient_words(flat[start : start + cells]), powers)  # (cells, keys)
         for r0 in range(0, e.shape[0], rows):
             units = UNIT_VALUES.take(e[r0 : r0 + rows]).take(inverse, axis=1)  # (cells, n)
-            for out, v in zip(sums, vectors):
-                out[start + r0 : start + r0 + units.shape[0]] = np.einsum("cn,n->c", units, v)
-    return [s.reshape(seeds.shape) for s in sums]
+            for out, v in zip(outs, vectors):
+                out[start + r0 : start + r0 + units.shape[0]] += np.einsum("cn,n->c", units, v)
 
 
 class StreamSketch:
@@ -150,8 +150,8 @@ class StreamSketch:
     def update_many(self, ts: np.ndarray, vs: np.ndarray):
         """Vectorized sequence of updates (equivalent to update() in a loop)."""
         vs = np.asarray(vs, dtype=np.float64)
-        (sums,) = _hash_sums(cell_seeds(self.config), ts, vs)
-        self.counters += sums
+        self.counters = np.ascontiguousarray(self.counters)
+        _hash_sums(cell_seeds(self.config), ts, [vs], [self.counters])
         self.items_seen += len(vs)
 
     def to_bytes(self) -> bytes:
@@ -212,9 +212,8 @@ def ingest_pair(sx: StreamSketch, sw: StreamSketch, ts: np.ndarray, xs: np.ndarr
     _check_same_config(sx, sw)
     xs = np.asarray(xs, dtype=np.float64)
     ws = np.asarray(ws, dtype=np.float64)
-    sums_x, sums_w = _hash_sums(cell_seeds(sx.config), ts, xs, ws)
-    sx.counters += sums_x
-    sw.counters += sums_w
+    sx.counters, sw.counters = np.ascontiguousarray(sx.counters), np.ascontiguousarray(sw.counters)
+    _hash_sums(cell_seeds(sx.config), ts, [xs, ws], [sx.counters, sw.counters])
     sx.items_seen += len(xs)
     sw.items_seen += len(ws)
 
@@ -265,5 +264,7 @@ def cell_estimates(x: np.ndarray, w: np.ndarray, seeds: np.ndarray) -> np.ndarra
     x = np.asarray(x, dtype=np.float64)
     w = np.asarray(w, dtype=np.float64)
     # Cell (0, 0) mixing degenerates to finalize(seed), see cell_seeds.
-    cx, cw = _hash_sums(finalize_array(np.asarray(seeds, dtype=np.uint64)), np.arange(len(x)), x, w)
+    seeds = finalize_array(np.asarray(seeds, dtype=np.uint64))
+    cx, cw = np.zeros((2, *seeds.shape), dtype=np.complex128)
+    _hash_sums(seeds, np.arange(len(x)), [x, w], [cx, cw])
     return ((cx * cw) ** 2).real

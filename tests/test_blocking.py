@@ -206,16 +206,24 @@ def test_update_many_memory_does_not_grow_with_r_m_n():
 
 
 def test_update_many_memory_does_not_grow_with_the_number_of_cells():
-    # Past the sums themselves (16 bytes a cell), a batch of 2,000 keys takes
-    # the same memory into 1,024 cells as into 8,192.
+    # A batch of 2,000 keys takes the same memory into 1,024 cells as into 8,192.
     rng = np.random.default_rng(2)
     ts = rng.integers(0, 200_000, 2_000)
     vs = rng.standard_normal(2_000)
     peaks = {}
     for m in (1_024, 8_192):
         sk = StreamSketch(SketchConfig(r=1, m=m, seed=4, mode="turnstile"))
-        peaks[m] = _peak_mb(lambda: sk.update_many(ts, vs)) - 16 * m / 2**20
+        peaks[m] = _peak_mb(lambda: sk.update_many(ts, vs))
     assert peaks[8_192] < 1.05 * peaks[1_024] + 0.1
+
+
+def test_ingest_pair_memory_stays_below_two_arrays_of_sums():
+    # A sums array per sketch would take 2 * 16 bytes a cell on its own; the
+    # batch's adds go straight into the counters.
+    cfg = SketchConfig(r=37, m=6046, seed=5, mode="turnstile")
+    sx, sw = new_pair(cfg)
+    peak = _peak_mb(lambda: ingest_pair(sx, sw, [3, 17], [1.0, -2.0], [0.5, 2.0]))
+    assert peak < 2 * 16 * cfg.r * cfg.m / 2**20
 
 
 _THREADS_SCRIPT = """

@@ -130,6 +130,20 @@ def test_render_histogram_errors(tmp_path):
         render_histogram(csv, "b", 5, tmp_path / "o.svg")
 
 
+# CSVs with no header line, or whose metadata line is not a JSON object.
+_BAD_CSVS = ["", "\n\n", '# {"seed": 1}\n', "# [1]\nestimate\n1.0\n", "# 3\nestimate\n1.0\n", "# x\nestimate\n"]
+
+
+@pytest.mark.parametrize("text", _BAD_CSVS)
+def test_read_csv_errors(tmp_path, text):
+    with pytest.raises(ValueError):
+        read_csv(text)
+    csv = tmp_path / "bad.csv"
+    csv.write_text(text)
+    with pytest.raises(ValueError):
+        render_histogram(csv, "estimate", 5, tmp_path / "o.svg")
+
+
 def test_records_to_csv_sorted_and_commented():
     from wjl.harness import TrialRecord
 
@@ -235,6 +249,17 @@ def test_cli_bad_input_exit_code(tmp_path):
     # argparse also exits 2 on a usage error; the missing file must be what is reported.
     assert res.stderr.startswith("error: "), res.stderr
     assert "Traceback" not in res.stderr, res.stderr
+
+
+@pytest.mark.parametrize("text", _BAD_CSVS)
+def test_cli_plot_bad_csv_exit_code(tmp_path, capsys, text):
+    from wjl.cli import main
+
+    csv = tmp_path / "bad.csv"
+    csv.write_text(text)
+    assert main(["plot", str(csv), "--output", str(tmp_path / "o.svg")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_cli_fig2_without_overlap_writes_axes_only_svg(tmp_path, capsys):

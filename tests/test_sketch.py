@@ -219,6 +219,38 @@ def test_ingest_pair_rejects_weights_of_another_length():
     with pytest.raises(ValueError, match="parallel 1-d"):
         ingest_pair(sx, sw, [1, 2, 3], [1.0, 2.0, 3.0], [1.0])
     assert sx.items_seen == sw.items_seen == 0
+    assert not sx.counters.any() and not sw.counters.any()
+
+
+def test_keys_outside_the_field_leave_the_sketches_untouched():
+    # Two of the three keys are valid: a check after the first add would leave their sums behind.
+    keys = np.array([1, 2, MERSENNE_P], dtype=np.uint64)
+    sk = StreamSketch(SketchConfig(r=2, m=3, seed=1, mode="turnstile"))
+    with pytest.raises(ValueError, match="evaluation point"):
+        sk.update_many(keys, [1.0, 2.0, 3.0])
+    assert sk.items_seen == 0 and not sk.counters.any()
+    sx, sw = new_pair(SketchConfig(r=2, m=3, seed=1, mode="turnstile"))
+    with pytest.raises(ValueError, match="evaluation point"):
+        ingest_pair(sx, sw, keys, [1.0, 2.0, 3.0], [1.0, 1.0, 1.0])
+    assert sx.items_seen == sw.items_seen == 0
+    assert not sx.counters.any() and not sw.counters.any()
+
+
+def test_fortran_ordered_counters_take_the_whole_batch():
+    cfg = SketchConfig(r=3, m=5, seed=8, mode="turnstile")
+    ts, xs, ws = [4, 9, 4], [1.0, -2.0, 0.5], [0.25, 1.0, 3.0]
+    want = StreamSketch(cfg)
+    want.update_many(ts, xs)
+    sk = StreamSketch(cfg)
+    sk.counters = np.asfortranarray(sk.counters)
+    sk.update_many(ts, xs)
+    assert sk.to_bytes() == want.to_bytes()
+    wx, ww = new_pair(cfg)
+    ingest_pair(wx, ww, ts, xs, ws)
+    sx, sw = new_pair(cfg)
+    sx.counters, sw.counters = np.asfortranarray(sx.counters), np.asfortranarray(sw.counters)
+    ingest_pair(sx, sw, ts, xs, ws)
+    assert (sx.to_bytes(), sw.to_bytes()) == (wx.to_bytes(), ww.to_bytes())
 
 
 def test_cell_estimates_rejects_vectors_of_different_lengths():

@@ -100,6 +100,8 @@ def _cpu() -> str:
 def _seeds(text: str) -> list[int]:
     if "-" in text:
         lo, hi = (int(s) for s in text.split("-"))
+        if hi < lo:
+            raise argparse.ArgumentTypeError(f"seed range {text} is empty: it ends below its start")
         return list(range(lo, hi + 1))
     return [int(s) for s in text.split(",")]
 
