@@ -59,12 +59,18 @@ _SPEC_TYPES = {"d": int, "l_x": int, "l_w": int, "l_overlap": int, "norm_x": flo
 
 
 def _read_pairs(text: str, source) -> tuple[np.ndarray, np.ndarray]:
-    """Parse `int,float` CSV lines, skipping blank and header lines."""
+    """Parse `int,float` CSV lines, skipping blank lines and a header: the
+    first non-blank line, when it starts with a letter."""
     idx, vals = [], []
+    header = True
     for lineno, ln in enumerate(text.splitlines(), start=1):
         ln = ln.strip()
-        if not ln or ln[0].isalpha():
+        if not ln:
             continue
+        if header:
+            header = False
+            if ln[0].isalpha():
+                continue
         try:
             i, v = ln.split(",")
             index, value = int(i), float(v)

@@ -22,7 +22,7 @@ from . import __version__
 from ._mix import mix2
 from .generators import SparseSpec, gen_pair
 from .oracle import WeightedPair, distortion, exact_expectation, weighted_sq_norm
-from .projection import ProjectionMatrix, reduce_sparse, rho
+from .projection import ProjectionMatrix, ReducedVector, reduce_sparse, rho
 from .sketch import SketchConfig, StreamSketch, ingest_pair, new_pair, plan_sketch, sketch_estimate
 
 # Seed-stream tags for deriving per-purpose seeds from the master seed.
@@ -126,7 +126,12 @@ def read_csv(text: str) -> tuple[dict, list[dict]]:
     """Parse a harness CSV back into (metadata, row dicts); ValueError when it
     has no header line or a metadata line that is not a JSON object."""
     lines = [ln for ln in text.splitlines() if ln]
-    meta = json.loads(lines.pop(0)[1:]) if lines and lines[0].startswith("#") else {}
+    meta = {}
+    if lines and lines[0].startswith("#"):
+        try:
+            meta = json.loads(lines.pop(0)[1:])
+        except json.JSONDecodeError:
+            raise ValueError("CSV metadata line is not JSON") from None
     if not isinstance(meta, dict):
         raise ValueError("CSV metadata line must hold a JSON object")
     if not lines:
@@ -156,18 +161,21 @@ def _map(cfg: ExperimentConfig, fn, args_list):
     return _pool_map(cfg.threads, fn, args_list)
 
 
-def _sparse(pair: WeightedPair) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    ix = np.flatnonzero(pair.x)
-    iw = np.flatnonzero(pair.w)
-    return ix, pair.x[ix], iw, pair.w[iw]
+def _support(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (indices, values) of v's nonzero entries."""
+    idx = np.flatnonzero(v)
+    return idx, v[idx]
 
 
-def _rho_trial(d: int, k: int, seed: int, pair: WeightedPair) -> tuple[float, float]:
-    """Estimate the pair's weighted squared norm with a fresh matrix; returns (estimate, ms)."""
+def _rho_trial(A: ProjectionMatrix, x: tuple, w) -> tuple[float, float]:
+    """rho(g(x), g(w)) under A; returns (estimate, ms).
+
+    x is a support (indices, values); w is one too, or a ReducedVector that
+    is already g(w) under A.  The time covers the reductions made here and
+    rho, so a w reduced beforehand is not in it.
+    """
     start = time.perf_counter()
-    A = ProjectionMatrix(k=k, d=d, seed=seed)
-    ix, vx, iw, vw = _sparse(pair)
-    est = rho(reduce_sparse(A, ix, vx), reduce_sparse(A, iw, vw))
+    est = rho(reduce_sparse(A, *x), w if isinstance(w, ReducedVector) else reduce_sparse(A, *w))
     return est, (time.perf_counter() - start) * 1e3
 
 
@@ -190,10 +198,11 @@ def _fixed_pair_arm(
     whose seed is drawn at index seed_offset + trial."""
     truth = weighted_sq_norm(pair)
     dist = distortion(pair)
+    sx, sw = _support(pair.x), _support(pair.w)
 
     def task(trial):
-        seed = mix2(cfg.master_seed, _TAG_MATRIX, seed_offset + trial)
-        est, ms = _rho_trial(len(pair.x), k, seed, pair)
+        A = ProjectionMatrix(k=k, d=len(pair.x), seed=mix2(cfg.master_seed, _TAG_MATRIX, seed_offset + trial))
+        est, ms = _rho_trial(A, sx, sw)
         return TrialRecord(trial, k, est, truth, dist, ms, arm=arm)
 
     return _map(cfg, task, list(range(cfg.trials)))
@@ -210,18 +219,23 @@ def run_fig1(cfg: ExperimentConfig) -> tuple[list[TrialRecord], Path]:
 
 
 def run_fig2(cfg: ExperimentConfig) -> tuple[list[TrialRecord], Path]:
-    """Fixed matrix seed and weight vector, fresh random x per trial."""
-    w_pair = gen_pair(replace(cfg.spec, seed=mix2(cfg.master_seed, _TAG_PAIR, 0)))
+    """Fixed matrix seed and weight vector, fresh random x per trial.
+
+    w is reduced once per k, with that k's matrix, before the trials run.
+    """
+    w = gen_pair(replace(cfg.spec, seed=mix2(cfg.master_seed, _TAG_PAIR, 0))).w
     matrix_seed = mix2(cfg.master_seed, _TAG_MATRIX, 0)
+    matrices = [ProjectionMatrix(k=k, d=cfg.spec.d, seed=matrix_seed) for k in cfg.k_list]
+    sw = _support(w)
+    gws = [reduce_sparse(A, *sw) for A in matrices]
 
     def task(arg):
         ki, trial = arg
-        k = cfg.k_list[ki]
-        pair_t = gen_pair(replace(cfg.spec, seed=mix2(cfg.master_seed, _TAG_VECTOR, trial)))
-        pair = WeightedPair(pair_t.x, w_pair.w)  # overlap of this pair varies with the draw
+        x = gen_pair(replace(cfg.spec, seed=mix2(cfg.master_seed, _TAG_VECTOR, trial))).x
+        pair = WeightedPair(x, w)  # overlap of this pair varies with the draw
         truth = weighted_sq_norm(pair)
-        est, ms = _rho_trial(cfg.spec.d, k, matrix_seed, pair)
-        return TrialRecord(trial, k, est, truth, distortion(pair) if truth else float("nan"), ms)
+        est, ms = _rho_trial(matrices[ki], _support(x), gws[ki])
+        return TrialRecord(trial, cfg.k_list[ki], est, truth, distortion(pair) if truth else float("nan"), ms)
 
     args = [(ki, t) for ki in range(len(cfg.k_list)) for t in range(cfg.trials)]
     records = _map(cfg, task, args)
@@ -364,12 +378,17 @@ def render_histogram(csv_in: Path, column: str, bins: int, svg_out: Path, *, all
 
     Fixed 640x480 viewport, equal-width bins over [min, max], heights
     normalized to the fullest bin; a vertical reference line marks the true
-    value when present in the CSV metadata.  A column with no numeric value
-    raises ValueError, or with allow_empty gets an SVG of the axis alone.
+    value when present in the CSV metadata.  A CSV that read_csv rejects or
+    that has no data rows raises ValueError naming csv_in; a column with no
+    numeric value raises ValueError, or with allow_empty gets an SVG of the
+    axis alone.
     """
-    meta, rows = read_csv(Path(csv_in).read_text())
-    if not rows:
-        raise ValueError("no data rows in CSV")
+    try:
+        meta, rows = read_csv(Path(csv_in).read_text())
+        if not rows:
+            raise ValueError("no data rows in CSV")
+    except ValueError as exc:
+        raise ValueError(f"{csv_in}: {exc}") from None
     if column not in rows[0]:
         raise ValueError(f"column {column!r} not found")
     try:

@@ -64,6 +64,29 @@ def test_fig2_shares_matrix_seed_and_centers(tmp_path):
     assert abs(ratios.mean() - 1.0) <= 4 * se
 
 
+def _count_reductions(monkeypatch):
+    import wjl.harness
+
+    calls = []
+    reduce = wjl.harness.reduce_sparse
+    monkeypatch.setattr(wjl.harness, "reduce_sparse", lambda *args: calls.append(1) or reduce(*args))
+    return calls
+
+
+def test_fig2_reduces_w_once_per_k(tmp_path, monkeypatch):
+    calls = _count_reductions(monkeypatch)
+    cfg = _small_cfg("fig2", tmp_path, trials=7, k_list=(16, 64, 8))
+    run_fig2(cfg)
+    assert len(calls) == 7 * 3 + 3
+
+
+def test_fig1_reduces_both_vectors_per_trial(tmp_path, monkeypatch):
+    calls = _count_reductions(monkeypatch)
+    cfg = _small_cfg("fig1", tmp_path, trials=7, k_list=(16, 64, 8))
+    run_fig1(cfg)
+    assert len(calls) == 2 * 7 * 3
+
+
 def test_sketch_eval_direction(tmp_path, monkeypatch):
     import wjl.harness
 
@@ -142,6 +165,11 @@ def test_read_csv_errors(tmp_path, text):
     csv.write_text(text)
     with pytest.raises(ValueError):
         render_histogram(csv, "estimate", 5, tmp_path / "o.svg")
+
+
+def test_read_csv_says_a_metadata_line_is_not_json():
+    with pytest.raises(ValueError, match="^CSV metadata line is not JSON$"):
+        read_csv("# x\nestimate\n1.0\n")
 
 
 def test_records_to_csv_sorted_and_commented():
@@ -259,7 +287,7 @@ def test_cli_plot_bad_csv_exit_code(tmp_path, capsys, text):
     csv.write_text(text)
     assert main(["plot", str(csv), "--output", str(tmp_path / "o.svg")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert err.startswith(f"error: {csv}: ") and err.count("\n") == 1, err
 
 
 def test_cli_fig2_without_overlap_writes_axes_only_svg(tmp_path, capsys):
@@ -315,6 +343,9 @@ def test_cli_rejects_non_finite_values(tmp_path, capsys, command, text, line, ba
     ("reduce", "index,value\n0,1.0\n1\n", "not enough values to unpack (expected 2, got 1)"),
     ("sketch", "1.5,2\n", "invalid literal for int() with base 10: '1.5'"),
     ("reduce", "1,abc\n", "could not convert string to float: 'abc'"),
+    # Only the first non-blank line may be a header.
+    ("reduce", "index,value\n1,2.0\nx3,1.5\n", "invalid literal for int() with base 10: 'x3'"),
+    ("sketch", "t,v\n1,2.0\nnan,1\n", "invalid literal for int() with base 10: 'nan'"),
 ])
 def test_cli_rejects_malformed_fields(tmp_path, capsys, command, text, message):
     from wjl.cli import main
