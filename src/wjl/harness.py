@@ -167,15 +167,12 @@ def _support(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return idx, v[idx]
 
 
-def _rho_trial(A: ProjectionMatrix, x: tuple, w) -> tuple[float, float]:
-    """rho(g(x), g(w)) under A; returns (estimate, ms).
-
-    x is a support (indices, values); w is one too, or a ReducedVector that
-    is already g(w) under A.  The time covers the reductions made here and
-    rho, so a w reduced beforehand is not in it.
+def _rho_trial(A: ProjectionMatrix, x: tuple, gw: ReducedVector) -> tuple[float, float]:
+    """rho(g(x), gw) under A, for x a support (indices, values) and gw the
+    already reduced g(w); returns (estimate, ms), timing x's reduction and rho.
     """
     start = time.perf_counter()
-    est = rho(reduce_sparse(A, *x), w if isinstance(w, ReducedVector) else reduce_sparse(A, *w))
+    est = rho(reduce_sparse(A, *x), gw)
     return est, (time.perf_counter() - start) * 1e3
 
 
@@ -201,9 +198,10 @@ def _fixed_pair_arm(
     sx, sw = _support(pair.x), _support(pair.w)
 
     def task(trial):
+        start = time.perf_counter()
         A = ProjectionMatrix(k=k, d=len(pair.x), seed=mix2(cfg.master_seed, _TAG_MATRIX, seed_offset + trial))
-        est, ms = _rho_trial(A, sx, sw)
-        return TrialRecord(trial, k, est, truth, dist, ms, arm=arm)
+        est, _ = _rho_trial(A, sx, reduce_sparse(A, *sw))
+        return TrialRecord(trial, k, est, truth, dist, (time.perf_counter() - start) * 1e3, arm=arm)
 
     return _map(cfg, task, list(range(cfg.trials)))
 
@@ -385,10 +383,10 @@ def render_histogram(csv_in: Path, column: str, bins: int, svg_out: Path, *, all
     """
     try:
         meta, rows = read_csv(Path(csv_in).read_text())
-        if not rows:
-            raise ValueError("no data rows in CSV")
     except ValueError as exc:
         raise ValueError(f"{csv_in}: {exc}") from None
+    if not rows:
+        raise ValueError(f"{csv_in}: no data rows in CSV")
     if column not in rows[0]:
         raise ValueError(f"column {column!r} not found")
     try:

@@ -151,25 +151,34 @@ def test_render_histogram_errors(tmp_path):
         render_histogram(csv, "missing", 5, tmp_path / "o.svg")
     with pytest.raises(ValueError):
         render_histogram(csv, "b", 5, tmp_path / "o.svg")
+    csv.write_text("a,b\n")
+    with pytest.raises(ValueError) as exc:
+        render_histogram(csv, "a", 5, tmp_path / "o.svg")
+    assert str(exc.value) == f"{csv}: no data rows in CSV"
 
 
-# CSVs with no header line, or whose metadata line is not a JSON object.
-_BAD_CSVS = ["", "\n\n", '# {"seed": 1}\n', "# [1]\nestimate\n1.0\n", "# 3\nestimate\n1.0\n", "# x\nestimate\n"]
+# CSVs with no header line, or whose metadata line is not a JSON object, and
+# read_csv's message for each.
+_BAD_CSVS = [
+    ("", "CSV has no header line"),
+    ("\n\n", "CSV has no header line"),
+    ('# {"seed": 1}\n', "CSV has no header line"),
+    ("# [1]\nestimate\n1.0\n", "CSV metadata line must hold a JSON object"),
+    ("# 3\nestimate\n1.0\n", "CSV metadata line must hold a JSON object"),
+    ("# x\nestimate\n", "CSV metadata line is not JSON"),
+]
+_BAD_CSV_IDS = [text for text, _ in _BAD_CSVS]
 
 
-@pytest.mark.parametrize("text", _BAD_CSVS)
-def test_read_csv_errors(tmp_path, text):
-    with pytest.raises(ValueError):
+@pytest.mark.parametrize("text, message", _BAD_CSVS, ids=_BAD_CSV_IDS)
+def test_read_csv_errors(tmp_path, text, message):
+    with pytest.raises(ValueError) as exc:
         read_csv(text)
+    assert str(exc.value) == message
     csv = tmp_path / "bad.csv"
     csv.write_text(text)
     with pytest.raises(ValueError):
         render_histogram(csv, "estimate", 5, tmp_path / "o.svg")
-
-
-def test_read_csv_says_a_metadata_line_is_not_json():
-    with pytest.raises(ValueError, match="^CSV metadata line is not JSON$"):
-        read_csv("# x\nestimate\n1.0\n")
 
 
 def test_records_to_csv_sorted_and_commented():
@@ -279,15 +288,14 @@ def test_cli_bad_input_exit_code(tmp_path):
     assert "Traceback" not in res.stderr, res.stderr
 
 
-@pytest.mark.parametrize("text", _BAD_CSVS)
-def test_cli_plot_bad_csv_exit_code(tmp_path, capsys, text):
+@pytest.mark.parametrize("text, message", _BAD_CSVS, ids=_BAD_CSV_IDS)
+def test_cli_plot_bad_csv_exit_code(tmp_path, capsys, text, message):
     from wjl.cli import main
 
     csv = tmp_path / "bad.csv"
     csv.write_text(text)
     assert main(["plot", str(csv), "--output", str(tmp_path / "o.svg")]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {csv}: ") and err.count("\n") == 1, err
+    assert capsys.readouterr().err == f"error: {csv}: {message}\n"
 
 
 def test_cli_fig2_without_overlap_writes_axes_only_svg(tmp_path, capsys):
