@@ -163,8 +163,9 @@ def _project(A: ProjectionMatrix, cols: np.ndarray, values: np.ndarray) -> Reduc
 def _project_panel(A: ProjectionMatrix, cols: np.ndarray, values: np.ndarray) -> np.ndarray:
     """A[:8 * ceil(k / 8), cols] @ values, over blocks of about BLOCK_ELEMS entries.
 
-    A block's words are viewed as bytes, 4 rows each; each byte is looked up
-    in _RE and _IM, and the real and imaginary parts are two real products
+    A block's words are viewed as bytes, 4 rows each; each product block's
+    bytes are cast once to one intp index array, both _RE and _IM are looked
+    up through it, and the real and imaginary parts are two real products
     over all of cols.  Every product spans a whole number of 8 rows (rows past
     k are computed and dropped).  OpenBLAS sums an output row the same way in
     any product whose width is a multiple of 4 rows, so blocking changes no
@@ -189,7 +190,7 @@ def _project_panel(A: ProjectionMatrix, cols: np.ndarray, values: np.ndarray) ->
         b = A._words(q, cols).astype("<u8", copy=False).view(np.uint8)
         stop = min(b.shape[1], lanes_total - 8 * q0)
         for l0 in range(0, stop, lanes):
-            part = b[:, l0:min(l0 + lanes, stop)]
+            part = b[:, l0:min(l0 + lanes, stop)].astype(np.intp)
             rows = slice(4 * (8 * q0 + l0), 4 * (8 * q0 + l0 + part.shape[1]))
             out.real[rows] = values @ _RE.take(part, axis=0).reshape(n, -1)
             out.imag[rows] = values @ _IM.take(part, axis=0).reshape(n, -1)
