@@ -192,15 +192,21 @@ def _fixed_pair_arm(
     cfg: ExperimentConfig, arm: str, seed_offset: int, pair: WeightedPair, k: int
 ) -> list[TrialRecord]:
     """cfg.trials estimates of one pair at one k, each with a fresh matrix
-    whose seed is drawn at index seed_offset + trial."""
+    whose seed is drawn at index seed_offset + trial.
+
+    x and w are reduced together, as the two rows of one product over the
+    union of their supports; the union and its (2, n) values are built once
+    per arm.  Each trial times its matrix, the reduction and rho.
+    """
     truth = weighted_sq_norm(pair)
     dist = distortion(pair)
-    sx, sw = _support(pair.x), _support(pair.w)
+    union = np.flatnonzero((pair.x != 0) | (pair.w != 0))
+    both = np.stack((pair.x[union], pair.w[union]))
 
     def task(trial):
         start = time.perf_counter()
         A = ProjectionMatrix(k=k, d=len(pair.x), seed=mix2(cfg.master_seed, _TAG_MATRIX, seed_offset + trial))
-        est, _ = _rho_trial(A, sx, reduce_sparse(A, *sw))
+        est = rho(*reduce_sparse(A, union, both))
         return TrialRecord(trial, k, est, truth, dist, (time.perf_counter() - start) * 1e3, arm=arm)
 
     return _map(cfg, task, list(range(cfg.trials)))

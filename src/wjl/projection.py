@@ -146,32 +146,37 @@ class ReducedVector:
         return cls(k, np.frombuffer(data, dtype="<c16", offset=22).astype(np.complex128), seed, d)
 
 
-def _project(A: ProjectionMatrix, cols: np.ndarray, values: np.ndarray) -> ReducedVector:
-    """g = A[:, cols] @ values / sqrt(k), summed over panels of _PANEL_COLS columns.
+def _project(A: ProjectionMatrix, cols: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """A[:, cols] @ values[..., :] / sqrt(k), summed over panels of _PANEL_COLS columns.
 
-    Each panel is reduced on its own and the panels' sums are added in order,
-    so no product spans more than _PANEL_COLS columns and the memory of a wide
-    support stays near 8 rows x _PANEL_COLS floats.
+    values is (n,) or (m, n), m vectors over the columns cols; the result is
+    (k,) or (m, k).  Each panel is reduced on its own and the panels' sums are
+    added in order, so no product spans more than _PANEL_COLS columns and the
+    memory of a wide support stays near 8 rows x _PANEL_COLS floats.
     """
-    g = _project_panel(A, cols[:_PANEL_COLS], values[:_PANEL_COLS])
+    g = _project_panel(A, cols[:_PANEL_COLS], values[..., :_PANEL_COLS])
     for c0 in range(_PANEL_COLS, cols.size, _PANEL_COLS):
-        g += _project_panel(A, cols[c0:c0 + _PANEL_COLS], values[c0:c0 + _PANEL_COLS])
+        g += _project_panel(A, cols[c0:c0 + _PANEL_COLS], values[..., c0:c0 + _PANEL_COLS])
     g *= 1.0 / math.sqrt(A.k)
-    return ReducedVector(A.k, g[:A.k], A.seed, A.d)
+    return g[..., :A.k]
 
 
 def _project_panel(A: ProjectionMatrix, cols: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """A[:8 * ceil(k / 8), cols] @ values, over blocks of about BLOCK_ELEMS entries.
+    """A[:8 * ceil(k / 8), cols] @ values[..., :], over blocks of about BLOCK_ELEMS entries.
 
-    A block's words are viewed as bytes, 4 rows each; each product block's
-    bytes are cast once to one intp index array, both _RE and _IM are looked
-    up through it, and the real and imaginary parts are two real products
-    over all of cols.  Every product spans a whole number of 8 rows (rows past
-    k are computed and dropped).  OpenBLAS sums an output row the same way in
-    any product whose width is a multiple of 4 rows, so blocking changes no
-    bit.  Threaded OpenBLAS gives the same bits as one thread for widths that
-    are multiples of 8, but not for widths of 4, 12, 20, ... rows over some
-    30,000 columns or more, so the BLAS thread count changes no bit either.
+    values is (n,) or (m, n).  A block's words are viewed as bytes, 4 rows
+    each; each product block's bytes are cast once to one intp index array,
+    both _RE and _IM are looked up through it, and the real and imaginary
+    parts are two real products of all m vectors over all of cols, so m
+    vectors over one support generate, cast and look up each block once.
+    Every product spans a whole number of 8 rows (rows past k are computed and
+    dropped).  An (n,) or (1, n) product is a BLAS gemv, which sums an output
+    row the same way at any width that is a multiple of 4 rows; an m >= 2 row
+    product is a gemm, which does so at widths that are multiples of 8 but
+    not of 4 alone.  Threaded OpenBLAS gives the same bits as one thread for
+    widths that are multiples of 8, but not for widths of 4, 12, 20, ... rows
+    over some 30,000 columns or more.  So the 8-row width is what keeps
+    blocking and the BLAS thread count from changing a bit.
 
     Words are generated BLOCK_ELEMS at a time and the products take
     BLOCK_ELEMS entries at a time, but at least one word and two bytes per
@@ -182,7 +187,7 @@ def _project_panel(A: ProjectionMatrix, cols: np.ndarray, values: np.ndarray) ->
     groups_total = -(-lanes_total // 8)  # words per column
     lanes = max(2, _mix.BLOCK_ELEMS // (4 * n)) & ~1  # bytes per product, even
     groups = max(1, _mix.BLOCK_ELEMS // n)  # words per column generated at once
-    out = np.empty(4 * lanes_total, dtype=np.complex128)
+    out = np.empty((*values.shape[:-1], 4 * lanes_total), dtype=np.complex128)
     cols = cols[:, None]
     for q0 in range(0, groups_total, groups):
         q = np.arange(q0, min(q0 + groups, groups_total), dtype=np.uint64)
@@ -192,8 +197,8 @@ def _project_panel(A: ProjectionMatrix, cols: np.ndarray, values: np.ndarray) ->
         for l0 in range(0, stop, lanes):
             part = b[:, l0:min(l0 + lanes, stop)].astype(np.intp)
             rows = slice(4 * (8 * q0 + l0), 4 * (8 * q0 + l0 + part.shape[1]))
-            out.real[rows] = values @ _RE.take(part, axis=0).reshape(n, -1)
-            out.imag[rows] = values @ _IM.take(part, axis=0).reshape(n, -1)
+            out.real[..., rows] = values @ _RE.take(part, axis=0).reshape(n, -1)
+            out.imag[..., rows] = values @ _IM.take(part, axis=0).reshape(n, -1)
     return out
 
 
@@ -205,23 +210,43 @@ def reduce(A: ProjectionMatrix, x: np.ndarray) -> ReducedVector:
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (A.d,):
         raise ValueError(f"expected vector of length {A.d}, got {x.shape}")
-    return _project(A, np.arange(A.d, dtype=np.uint64), x)
+    return ReducedVector(A.k, _project(A, np.arange(A.d, dtype=np.uint64), x), A.seed, A.d)
 
 
-def reduce_sparse(A: ProjectionMatrix, indices: np.ndarray, values: np.ndarray) -> ReducedVector:
-    """Reduce a sparse vector given as parallel (index, value) arrays."""
+def reduce_sparse(
+    A: ProjectionMatrix, indices: np.ndarray, values: np.ndarray
+) -> ReducedVector | tuple[ReducedVector, ...]:
+    """Reduce sparse vectors given as (index, value) arrays.
+
+    values is (n,), one vector, which returns one ReducedVector; or (m, n),
+    m vectors over the one support indices, which returns a tuple of m
+    ReducedVectors from one product, as rho(*reduce_sparse(A, idx, [x, w]))
+    uses it.  An (n,) and a (1, n) call give the same bits; each row of an
+    m >= 2 call matches its own (n,) call to rounding only, since BLAS sums a
+    many-row product in another order.
+    """
     indices = np.asarray(indices)
     if indices.size and indices.dtype.kind not in "iu":
         raise ValueError(f"sparse indices must be integers, got dtype {indices.dtype}")
     indices = indices.astype(np.int64, copy=False)
     values = np.asarray(values, dtype=np.float64)
-    if indices.shape != values.shape or indices.ndim != 1:
-        raise ValueError("indices and values must be parallel 1-d arrays")
+    if indices.ndim != 1:
+        raise ValueError("sparse indices must be a 1-d array")
+    if values.ndim not in (1, 2):
+        raise ValueError(f"sparse values must be (n,) or (m, n), got shape {values.shape}")
+    if values.shape[-1] != indices.size:
+        raise ValueError(f"sparse values have {values.shape[-1]} columns for {indices.size} indices")
+    if values.ndim == 2 and values.shape[0] == 0:
+        raise ValueError("sparse values of shape (m, n) need at least one row")
     if indices.size and (indices.min() < 0 or indices.max() >= A.d):
         raise ValueError("sparse index out of range")
-    if indices.size == 0:
-        return ReducedVector(A.k, np.zeros(A.k, dtype=np.complex128), A.seed, A.d)
-    return _project(A, indices.astype(np.uint64), values)
+    if indices.size:
+        g = _project(A, indices.astype(np.uint64), values)
+    else:
+        g = np.zeros((*values.shape[:-1], A.k), dtype=np.complex128)
+    if values.ndim == 1:
+        return ReducedVector(A.k, g, A.seed, A.d)
+    return tuple(ReducedVector(A.k, row, A.seed, A.d) for row in g)
 
 
 def rho(gx: ReducedVector, gw: ReducedVector) -> float:

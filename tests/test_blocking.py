@@ -40,17 +40,18 @@ def _values(rng, n):
 def _unblocked_reduce(A, idx, values):
     # The kernel's formula in one piece per panel: the real and imaginary
     # parts of all entries of the first 8 * ceil(k / 8) rows in the panel's
-    # columns, one real product each; the panels' sums added in order.
+    # columns, one real product each of the (n,) or (m, n) values; the
+    # panels' sums added in order.
     rows = np.arange(8 * -(-A.k // 8), dtype=np.uint64)
     panel = projection._PANEL_COLS
     out = None
     for c0 in range(0, idx.size, panel):
         e = A.entry_exponents(rows[None, :], idx[c0:c0 + panel].astype(np.uint64)[:, None])
-        part = np.empty(rows.size, dtype=np.complex128)
-        part.real = values[c0:c0 + panel] @ UNIT_VALUES.real[e]
-        part.imag = values[c0:c0 + panel] @ UNIT_VALUES.imag[e]
+        part = np.empty((*values.shape[:-1], rows.size), dtype=np.complex128)
+        part.real = values[..., c0:c0 + panel] @ UNIT_VALUES.real[e]
+        part.imag = values[..., c0:c0 + panel] @ UNIT_VALUES.imag[e]
         out = part if out is None else out + part
-    return out[:A.k] * (1.0 / math.sqrt(A.k))
+    return out[..., :A.k] * (1.0 / math.sqrt(A.k))
 
 
 def _divided_by_smallest_factor(total):
@@ -74,22 +75,26 @@ _RELATION = {
     relation=st.sampled_from(sorted(_RELATION)),
     panel=st.sampled_from([1, 3, 16, 1 << 15]),
     seed=st.integers(0, 2**32 - 1),
+    m=st.sampled_from([1, 2]),
 )
-@example(k=9, nnz=33, relation="multiple", panel=1 << 15, seed=1)  # 8-row products
-@example(k=100, nnz=1, relation="multiple", panel=1 << 15, seed=2)  # 12-byte products cross word boundaries
-@example(k=97, nnz=1, relation="multiple", panel=1 << 15, seed=3)  # one word per block; the last holds 1 row
-@example(k=3, nnz=40, relation="one above", panel=3, seed=4)  # 14 panels, the last of 1 column
-def test_reduce_sparse_matches_unblocked_formula(k, nnz, relation, panel, seed):
+@example(k=9, nnz=33, relation="multiple", panel=1 << 15, seed=1, m=1)  # 8-row products
+@example(k=100, nnz=1, relation="multiple", panel=1 << 15, seed=2, m=1)  # 12-byte products cross word boundaries
+@example(k=97, nnz=1, relation="multiple", panel=1 << 15, seed=3, m=1)  # one word per block; the last holds 1 row
+@example(k=3, nnz=40, relation="one above", panel=3, seed=4, m=1)  # 14 panels, the last of 1 column
+@example(k=100, nnz=33, relation="multiple", panel=1 << 15, seed=5, m=2)  # 2-row products of 8 rows each
+def test_reduce_sparse_matches_unblocked_formula(k, nnz, relation, panel, seed, m):
+    # m = 1 reduces one (n,) vector, m = 2 two vectors as one (2, n) product.
     rng = np.random.default_rng(seed)
     d = 4 * nnz
     A = ProjectionMatrix(k=k, d=d, seed=int(rng.integers(0, 2**63)))
     idx = rng.choice(d, nnz, replace=False)
-    values = _values(rng, nnz)
+    values = _values(rng, nnz) if m == 1 else _values(rng, (m, nnz))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_mix, "BLOCK_ELEMS", _RELATION[relation](k, nnz))
         mp.setattr(projection, "_PANEL_COLS", panel)
-        got = reduce_sparse(A, idx, values).values
+        got = reduce_sparse(A, idx, values)
         want = _unblocked_reduce(A, idx, values)
+    got = got.values if m == 1 else np.stack([g.values for g in got])
     assert np.array_equal(_bits(got), _bits(want))
 
 
@@ -238,6 +243,8 @@ for k in (5, 37, 64):
 A = ProjectionMatrix(k=100, d=200_000, seed=1)
 idx = rng.choice(A.d, 70_000, replace=False)
 h.update(reduce_sparse(A, idx, rng.standard_normal(idx.size)).to_bytes())
+for g in reduce_sparse(A, idx, rng.standard_normal((2, idx.size)) * 10.0 ** rng.integers(-8, 9, (2, idx.size))):
+    h.update(g.to_bytes())
 print(h.hexdigest())
 """
 

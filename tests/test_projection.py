@@ -165,10 +165,54 @@ def test_reduce_sparse_rejects_non_integer_indices(indices):
         reduce_sparse(ProjectionMatrix(k=4, d=3, seed=1), indices, [1.0])
 
 
+@pytest.mark.parametrize("values, match", [
+    (np.ones((1, 2, 2)), r"\(n,\) or \(m, n\)"),
+    (np.float64(1.0), r"\(n,\) or \(m, n\)"),
+    (np.ones((0, 2)), "at least one row"),
+    (np.ones(3), "3 columns for 2 indices"),
+    (np.ones((2, 1)), "1 columns for 2 indices"),
+])
+def test_reduce_sparse_rejects_misshapen_values(values, match):
+    with pytest.raises(ValueError, match=match):
+        reduce_sparse(ProjectionMatrix(k=4, d=3, seed=1), [0, 2], values)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    k=st.integers(1, 300),
+    nnz=st.integers(1, 40),
+    m=st.integers(1, 3),
+    zeros=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(k=8, nnz=1, m=1, zeros=1.0, seed=0)  # a row of zeros
+def test_reduce_sparse_rows_match_one_vector_reductions(k, nnz, m, zeros, seed):
+    # m vectors over one support, as the fixed-pair fig trials reduce x and w.
+    rng = np.random.default_rng(seed)
+    A = ProjectionMatrix(k=k, d=4 * nnz, seed=int(rng.integers(0, 2**63)))
+    idx = rng.choice(A.d, nnz, replace=False)
+    values = rng.standard_normal((m, nnz)) * 10.0 ** rng.integers(-8, 9, (m, nnz))
+    values[rng.random((m, nnz)) < zeros] = 0.0
+    rows = reduce_sparse(A, idx, values)
+    assert isinstance(rows, tuple) and len(rows) == m
+    for g, v in zip(rows, values):
+        one = reduce_sparse(A, idx, v)
+        assert (g.k, g.matrix_seed, g.dims_d) == (one.k, one.matrix_seed, one.dims_d)
+        assert np.max(np.abs(g.values - one.values)) <= 1e-12 * np.sum(np.abs(v)) / math.sqrt(k)
+    # One row is the same gemv as the 1-d call.
+    (g,) = reduce_sparse(A, idx, values[:1])
+    assert g.to_bytes() == reduce_sparse(A, idx, values[0]).to_bytes()
+
+
 def test_reduce_sparse_of_empty_float_arrays_is_zero():
     # An empty vector file reads as float64 arrays.
     g = reduce_sparse(ProjectionMatrix(k=4, d=3, seed=1), np.array([]), np.array([]))
     assert g.values.shape == (4,) and not g.values.any()
+
+
+def test_reduce_sparse_of_an_empty_support_gives_one_zero_vector_per_row():
+    gs = reduce_sparse(ProjectionMatrix(k=4, d=3, seed=1), [], np.empty((2, 0)))
+    assert len(gs) == 2 and all(g.values.shape == (4,) and not g.values.any() for g in gs)
 
 
 def test_rho_d1_exact():
