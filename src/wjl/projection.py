@@ -147,7 +147,7 @@ class ReducedVector:
 
 
 def _project(A: ProjectionMatrix, cols: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """A[:, cols] @ values[..., :] / sqrt(k), summed over panels of _PANEL_COLS columns.
+    """values @ A[:, cols].T / sqrt(k), summed over panels of _PANEL_COLS columns.
 
     values is (n,) or (m, n), m vectors over the columns cols; the result is
     (k,) or (m, k).  Each panel is reduced on its own and the panels' sums are
@@ -162,7 +162,7 @@ def _project(A: ProjectionMatrix, cols: np.ndarray, values: np.ndarray) -> np.nd
 
 
 def _project_panel(A: ProjectionMatrix, cols: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """A[:8 * ceil(k / 8), cols] @ values[..., :], over blocks of about BLOCK_ELEMS entries.
+    """values @ A[:8 * ceil(k / 8), cols].T, over blocks of about BLOCK_ELEMS entries.
 
     values is (n,) or (m, n).  A block's words are viewed as bytes, 4 rows
     each; each product block's bytes are cast once to one intp index array,
