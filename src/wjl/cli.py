@@ -50,9 +50,10 @@ _FLAGS = {
 _FIG_FLAGS = ("--seed", "--d", "--trials", "--k", "--l", "--l-overlap", "--out", "--scale", "--threads", "--config")
 
 #: Keys a --config file may set, with their JSON types (a float also takes
-#: an integer).  The top-level keys are ExperimentConfig fields.
+#: an integer).  The top-level keys are ExperimentConfig fields, all but
+#: experiment, which the command names.
 _CONFIG_TYPES = {
-    "experiment": str, "trials": int, "k_list": list, "spec": dict, "out_dir": str,
+    "trials": int, "k_list": list, "spec": dict, "out_dir": str,
     "master_seed": int, "threads": int, "epsilon": float, "delta": float,
 }
 _SPEC_TYPES = {"d": int, "l_x": int, "l_w": int, "l_overlap": int, "norm_x": float, "seed": int}
@@ -155,24 +156,32 @@ def _load_config(path: Path) -> dict:
     return raw
 
 
-def _experiment_config(args) -> ExperimentConfig:
-    """The scale preset, then the flags given, then the --config file."""
-    opts = vars(args)
-    fields = {name: opts[name] for name in ("trials", "epsilon", "delta", "threads") if opts.get(name) is not None}
-    if opts.get("k"):
-        fields["k_list"] = tuple(args.k)
-    spec = {"d": opts.get("d"), "l_x": opts.get("l"), "l_w": opts.get("l"), "l_overlap": opts.get("l_overlap")}
-    cfg = ExperimentConfig.preset(args.scale, args.command, out_dir=args.out, master_seed=args.seed, **fields)
-    cfg = replace(cfg, spec=replace(cfg.spec, **{k: v for k, v in spec.items() if v is not None}))
+def _settings(args) -> tuple[dict, dict]:
+    """The ExperimentConfig and SparseSpec fields that the flags given set,
+    then the --config file's over them; only the file is checked here."""
+    opts = {flag: v for flag, v in vars(args).items() if v is not None}
+    flag_of = (("out_dir", "out"), ("master_seed", "seed"), ("trials", "trials"), ("k_list", "k"),
+             ("threads", "threads"), ("epsilon", "epsilon"), ("delta", "delta"))
+    fields = {field: opts[flag] for field, flag in flag_of if flag in opts}
+    spec = {field: opts[flag] for field, flag in (("d", "d"), ("l_x", "l"), ("l_w", "l"), ("l_overlap", "l_overlap"))
+            if flag in opts}
     if args.config:
         raw = _load_config(args.config)
-        raw["spec"] = replace(cfg.spec, **raw.get("spec", {}))
-        if "out_dir" in raw:
-            raw["out_dir"] = Path(raw["out_dir"])
-        if "k_list" in raw:
-            raw["k_list"] = tuple(raw["k_list"])
-        cfg = replace(cfg, **raw)
-    return cfg
+        spec |= raw.pop("spec", {})
+        fields |= raw
+    if "k_list" in fields:
+        fields["k_list"] = tuple(fields["k_list"])
+    if "out_dir" in fields:
+        fields["out_dir"] = Path(fields["out_dir"])
+    return fields, spec
+
+
+def _experiment_config(args) -> ExperimentConfig:
+    """The scale preset with the merged settings over it; only these final
+    values are checked."""
+    fields, spec = _settings(args)
+    cfg = ExperimentConfig.preset(args.scale, args.command)
+    return replace(cfg, spec=replace(cfg.spec, **spec), **fields)
 
 
 def main(argv=None) -> int:
@@ -187,11 +196,10 @@ def main(argv=None) -> int:
             (cfg.out_dir / "w.csv").write_text(sparse_csv(pair.w))
             print(f"wrote {cfg.out_dir}/x.csv and {cfg.out_dir}/w.csv")
         elif args.command == "reduce":
-            raw = _load_config(args.config) if args.config else {}
-            d = raw.get("spec", {}).get("d", args.d if args.d is not None else SCALES[args.scale]["d"])
-            seed = raw.get("master_seed", args.seed)
+            fields, spec = _settings(args)
             idx, vals = _read_pairs(args.vector.read_text(), args.vector)
-            gv = reduce_sparse(ProjectionMatrix(k=args.k_dim, d=d, seed=seed), idx, vals)
+            d = spec.get("d", SCALES[args.scale]["d"])
+            gv = reduce_sparse(ProjectionMatrix(k=args.k_dim, d=d, seed=fields["master_seed"]), idx, vals)
             args.output.write_bytes(gv.to_bytes())
             print(f"wrote {args.output}")
         elif args.command == "estimate":
@@ -217,7 +225,7 @@ def main(argv=None) -> int:
             print(f"wrote {path} and {svg}")
         elif args.command == "sketch-eval":
             cfg = _experiment_config(args)
-            rows, path = run_sketch_eval(cfg, n_seeds=SCALES[args.scale]["sketch_seeds"])
+            rows, path = run_sketch_eval(cfg)
             for row in rows:
                 print(f"{row['arm']}: success_rate={row['success_rate']}")
             print(f"wrote {path}")

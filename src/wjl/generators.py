@@ -27,12 +27,14 @@ class SparseSpec:
     def __post_init__(self):
         if self.d < 1 or self.l_x < 1 or self.l_w < 1:
             raise ValueError("dimensions and nonzero counts must be positive")
+        if self.l_overlap < 0:
+            raise ValueError(f"overlap must not be negative, got {self.l_overlap}")
         if self.l_overlap > min(self.l_x, self.l_w):
             raise ValueError("overlap cannot exceed either nonzero count")
         if self.l_x + self.l_w - self.l_overlap > self.d:
             raise ValueError("supports do not fit in d dimensions")
-        if self.norm_x <= 0:
-            raise ValueError("target norm must be positive")
+        if not 0 < self.norm_x < np.inf:
+            raise ValueError(f"target norm must be positive and finite, got {self.norm_x}")
 
 
 def gen_pair(spec: SparseSpec) -> WeightedPair:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import io
 import json
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -22,7 +21,7 @@ from . import __version__
 from ._mix import mix2
 from .generators import SparseSpec, gen_pair
 from .oracle import WeightedPair, distortion, exact_expectation, weighted_sq_norm
-from .projection import ProjectionMatrix, ReducedVector, reduce_sparse, rho
+from .projection import ProjectionMatrix, reduce_sparse, rho
 from .sketch import SketchConfig, StreamSketch, ingest_pair, new_pair, plan_sketch, sketch_estimate
 
 # Seed-stream tags for deriving per-purpose seeds from the master seed.
@@ -32,8 +31,8 @@ _TAG_VECTOR = 3
 _TAG_SKETCH = 4
 
 #: The experiment grid of each --scale: the paper's, and a desk-sized one on
-#: which the full suite runs in minutes.  sketch_seeds is the number of
-#: sketches per arm of run_sketch_eval.
+#: which the full suite runs in minutes.  sketch_seeds is sketch-eval's
+#: trials: its number of sketches per arm.
 SCALES = {
     "desk": {"d": 2_000, "k_list": (100, 1_000, 10_000), "trials": 100, "sketch_seeds": 100},
     "paper": {"d": 200_000, "k_list": (100, 1_000, 10_000, 100_000), "trials": 250, "sketch_seeds": 500},
@@ -67,7 +66,8 @@ class ExperimentConfig:
         """The grid of SCALES[scale] for a 10-sparse pair overlapping in 8, then overrides."""
         grid = SCALES[scale]
         spec = SparseSpec(d=grid["d"], l_x=10, l_w=10, l_overlap=8)
-        fields = dict(experiment=experiment, trials=grid["trials"], k_list=grid["k_list"], spec=spec)
+        trials = grid["sketch_seeds" if experiment == "sketch-eval" else "trials"]
+        fields = dict(experiment=experiment, trials=trials, k_list=grid["k_list"], spec=spec)
         return cls(**(fields | overrides))
 
 
@@ -78,7 +78,6 @@ class TrialRecord:
     estimate: float
     true_value: float
     distortion: float
-    wall_time_ms: float
     arm: str = ""
 
     @property
@@ -88,8 +87,6 @@ class TrialRecord:
         return self.estimate / self.true_value
 
 
-# wall_time_ms stays on the in-memory record only: CSV output must be
-# byte-identical across re-runs with the same master seed.
 _CSV_COLUMNS = ("trial_index", "k", "arm", "estimate", "true_value", "ratio", "distortion")
 
 
@@ -167,15 +164,6 @@ def _support(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return idx, v[idx]
 
 
-def _rho_trial(A: ProjectionMatrix, x: tuple, gw: ReducedVector) -> tuple[float, float]:
-    """rho(g(x), gw) under A, for x a support (indices, values) and gw the
-    already reduced g(w); returns (estimate, ms), timing x's reduction and rho.
-    """
-    start = time.perf_counter()
-    est = rho(reduce_sparse(A, *x), gw)
-    return est, (time.perf_counter() - start) * 1e3
-
-
 def _config_meta(cfg: ExperimentConfig, **extra) -> dict:
     meta = {
         "experiment": cfg.experiment,
@@ -196,7 +184,7 @@ def _fixed_pair_arm(
 
     x and w are reduced together, as the two rows of one product over the
     union of their supports; the union and its (2, n) values are built once
-    per arm.  Each trial times its matrix, the reduction and rho.
+    per arm.
     """
     truth = weighted_sq_norm(pair)
     dist = distortion(pair)
@@ -204,10 +192,8 @@ def _fixed_pair_arm(
     both = np.stack((pair.x[union], pair.w[union]))
 
     def task(trial):
-        start = time.perf_counter()
         A = ProjectionMatrix(k=k, d=len(pair.x), seed=mix2(cfg.master_seed, _TAG_MATRIX, seed_offset + trial))
-        est = rho(*reduce_sparse(A, union, both))
-        return TrialRecord(trial, k, est, truth, dist, (time.perf_counter() - start) * 1e3, arm=arm)
+        return TrialRecord(trial, k, rho(*reduce_sparse(A, union, both)), truth, dist, arm=arm)
 
     return _map(cfg, task, list(range(cfg.trials)))
 
@@ -238,8 +224,8 @@ def run_fig2(cfg: ExperimentConfig) -> tuple[list[TrialRecord], Path]:
         x = gen_pair(replace(cfg.spec, seed=mix2(cfg.master_seed, _TAG_VECTOR, trial))).x
         pair = WeightedPair(x, w)  # overlap of this pair varies with the draw
         truth = weighted_sq_norm(pair)
-        est, ms = _rho_trial(matrices[ki], _support(x), gws[ki])
-        return TrialRecord(trial, cfg.k_list[ki], est, truth, distortion(pair) if truth else float("nan"), ms)
+        est = rho(reduce_sparse(matrices[ki], *_support(x)), gws[ki])
+        return TrialRecord(trial, cfg.k_list[ki], est, truth, distortion(pair) if truth else float("nan"))
 
     args = [(ki, t) for ki in range(len(cfg.k_list)) for t in range(cfg.trials)]
     records = _map(cfg, task, args)
@@ -308,8 +294,9 @@ def sketch_success_rate(
     return [sum(hits) / n_seeds for hits in zip(*per_seed)]
 
 
-def run_sketch_eval(cfg: ExperimentConfig, n_seeds: int = SCALES["paper"]["sketch_seeds"]) -> tuple[list[dict], Path]:
-    """Empirical (epsilon, delta) check of the planned sketch dimensions.
+def run_sketch_eval(cfg: ExperimentConfig) -> tuple[list[dict], Path]:
+    """Empirical (epsilon, delta) check of the planned sketch dimensions, over
+    cfg.trials sketches per arm.
 
     Includes a deliberately undersized m/4 arm, from the same sketches, as a sanity direction.
     """
@@ -318,7 +305,7 @@ def run_sketch_eval(cfg: ExperimentConfig, n_seeds: int = SCALES["paper"]["sketc
     dist = distortion(pair)
     r, m = plan_sketch(cfg.epsilon, cfg.delta, dist)
     widths = (m, max(1, m // 4))
-    rates = sketch_success_rate(pair, cfg.epsilon, r, widths, n_seeds, cfg.master_seed, cfg.threads)
+    rates = sketch_success_rate(pair, cfg.epsilon, r, widths, cfg.trials, cfg.master_seed, cfg.threads)
     rows = []
     for arm, m_used, rate in zip(("planned", "undersized"), widths, rates):
         rows.append(
@@ -329,7 +316,7 @@ def run_sketch_eval(cfg: ExperimentConfig, n_seeds: int = SCALES["paper"]["sketc
                 "distortion": dist,
                 "r": r,
                 "m": m_used,
-                "n_seeds": n_seeds,
+                "n_seeds": cfg.trials,
                 "success_rate": rate,
                 "sketch_bytes": StreamSketch.serialized_size(r, m_used),
             }
@@ -340,7 +327,7 @@ def run_sketch_eval(cfg: ExperimentConfig, n_seeds: int = SCALES["paper"]["sketc
     return rows, path
 
 
-def run_verify(seed: int = 0, rel_tol: float = 1e-9) -> list[tuple[str, bool]]:
+def run_verify(seed: int = 0) -> list[tuple[str, bool]]:
     """Oracle-vs-implementation equivalence suite; returns (check, passed) pairs."""
     rng = np.random.default_rng(seed)
     results = []
@@ -351,7 +338,7 @@ def run_verify(seed: int = 0, rel_tol: float = 1e-9) -> list[tuple[str, bool]]:
             x = rng.standard_normal(d)
             w = np.abs(rng.standard_normal(d))
             truth = weighted_sq_norm(WeightedPair(x, w))
-            if abs(exact_expectation(x, w) - truth) > rel_tol * max(truth, 1e-30):
+            if abs(exact_expectation(x, w) - truth) > 1e-9 * max(truth, 1e-30):
                 ok = False
     results.append(("enumeration oracle matches weighted squared norm", ok))
 
@@ -414,25 +401,19 @@ def render_histogram(csv_in: Path, column: str, bins: int, svg_out: Path, *, all
     ]
     if values.size:
         lo, hi = float(values.min()), float(values.max())
-        if lo == hi:
-            counts = np.array([values.size])
-            edges = np.array([lo, hi])
-            bins = 1
-        else:
-            counts, edges = np.histogram(values, bins=bins, range=(lo, hi))
-        heights = counts / counts.max()
-
-        def sx(v):  # data x -> pixels
-            if hi == lo:
+        if lo == hi:  # one centred bar, a quarter of the plot wide
+            def sx(v):  # data x -> pixels
                 return ml + plot_w / 2
-            return ml + (v - lo) / (hi - lo) * plot_w
 
-        bar_w = plot_w / bins if hi != lo else plot_w / 4
-        for idx, h in enumerate(heights):
-            if hi == lo:
-                x0 = ml + plot_w / 2 - bar_w / 2
-            else:
-                x0 = sx(edges[idx])
+            counts, bar_w = np.array([values.size]), plot_w / 4
+            lefts = [sx(lo) - bar_w / 2]
+        else:
+            def sx(v):  # data x -> pixels
+                return ml + (v - lo) / (hi - lo) * plot_w
+
+            counts, edges = np.histogram(values, bins=bins, range=(lo, hi))
+            bar_w, lefts = plot_w / bins, [sx(e) for e in edges[:-1]]
+        for x0, h in zip(lefts, counts / counts.max()):
             bh = h * plot_h
             parts.append(
                 f'<rect x="{x0!r}" y="{mt + plot_h - bh!r}" width="{bar_w!r}" '

@@ -42,6 +42,11 @@ def test_infeasible_specs_rejected():
         SparseSpec(d=10, l_x=8, l_w=8, l_overlap=2)  # supports do not fit
     with pytest.raises(ValueError):
         SparseSpec(d=10, l_x=3, l_w=3, l_overlap=4)
+    with pytest.raises(ValueError, match="overlap must not be negative, got -1"):
+        SparseSpec(d=10, l_x=5, l_w=5, l_overlap=-1)
+    for norm in (float("nan"), float("inf"), -float("inf"), 0.0):
+        with pytest.raises(ValueError, match="target norm must be positive and finite"):
+            SparseSpec(d=10, l_x=3, l_w=3, l_overlap=1, norm_x=norm)
 
 
 def test_distortion_trend_with_overlap():

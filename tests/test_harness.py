@@ -9,6 +9,7 @@ import pytest
 import wjl
 from wjl.generators import SparseSpec, gen_pair
 from wjl.harness import (
+    SCALES,
     ExperimentConfig,
     read_csv,
     records_to_csv,
@@ -95,13 +96,19 @@ def test_sketch_eval_direction(tmp_path, monkeypatch):
     calls = []
     ingest = wjl.harness.ingest_pair
     monkeypatch.setattr(wjl.harness, "ingest_pair", lambda *args: calls.append(1) or ingest(*args))
-    cfg = _small_cfg("sketch-eval", tmp_path, spec=SparseSpec(d=200, l_x=2, l_w=2, l_overlap=2))
-    rows, path = run_sketch_eval(cfg, n_seeds=60)
+    cfg = _small_cfg("sketch-eval", tmp_path, trials=60, spec=SparseSpec(d=200, l_x=2, l_w=2, l_overlap=2))
+    rows, path = run_sketch_eval(cfg)
     # Both arms are read from one sketch pair per seed.
     assert len(calls) == 60
     by_arm = {r["arm"]: r for r in rows}
     assert by_arm["planned"]["success_rate"] >= by_arm["undersized"]["success_rate"]
     assert path.exists()
+
+
+@pytest.mark.parametrize("scale", sorted(SCALES))
+def test_sketch_eval_preset_trials_are_its_sketches(scale):
+    assert ExperimentConfig.preset(scale, "sketch-eval").trials == SCALES[scale]["sketch_seeds"]
+    assert ExperimentConfig.preset(scale, "fig1").trials == SCALES[scale]["trials"]
 
 
 def test_sketch_success_rate_does_not_depend_on_threads():
@@ -119,8 +126,8 @@ def test_sketch_eval_maps_seeds_over_threads_but_not_as_fig_trials(tmp_path, mon
     pool_map = wjl.harness._pool_map
     monkeypatch.setattr(wjl.harness, "_pool_map", lambda n, fn, args: pools.append(n) or pool_map(n, fn, args))
     monkeypatch.setattr(wjl.harness, "_map", lambda *args: pytest.fail("sketch-eval mapped seeds as fig trials"))
-    cfg = _small_cfg("sketch-eval", tmp_path, threads=3, spec=SparseSpec(d=200, l_x=2, l_w=2, l_overlap=2))
-    run_sketch_eval(cfg, n_seeds=4)
+    cfg = _small_cfg("sketch-eval", tmp_path, trials=4, threads=3, spec=SparseSpec(d=200, l_x=2, l_w=2, l_overlap=2))
+    run_sketch_eval(cfg)
     assert pools == [3]
 
 
@@ -187,8 +194,8 @@ def test_records_to_csv_sorted_and_commented():
     from wjl.harness import TrialRecord
 
     recs = [
-        TrialRecord(1, 4, 1.0, 2.0, 1.5, 0.1),
-        TrialRecord(0, 4, 1.5, 2.0, 1.5, 0.1),
+        TrialRecord(1, 4, 1.0, 2.0, 1.5),
+        TrialRecord(0, 4, 1.5, 2.0, 1.5),
     ]
     text = records_to_csv(recs, {"experiment": "t"})
     lines = text.splitlines()
@@ -383,6 +390,8 @@ def test_cli_rejects_index_beyond_64_bits(tmp_path, capsys, command):
 
 @pytest.mark.parametrize("command, text, message", [
     ("fig1", '{"foo": 1}', " has unknown key 'foo'"),
+    # The command names the experiment.
+    ("fig1", '{"experiment": "fig4"}', " has unknown key 'experiment'"),
     ("reduce", "[1, 2]", " must be a JSON object"),
     ("gen", "[1, 2]", " must be a JSON object"),
     ("fig2", '{"trials": "5"}', ": trials must be int, got str"),
@@ -442,7 +451,7 @@ def test_config_keys_are_the_config_fields():
 
     from wjl.cli import _CONFIG_TYPES, _SPEC_TYPES
 
-    assert set(_CONFIG_TYPES) == {f.name for f in fields(ExperimentConfig)}
+    assert set(_CONFIG_TYPES) == {f.name for f in fields(ExperimentConfig)} - {"experiment"}
     assert set(_SPEC_TYPES) == {f.name for f in fields(SparseSpec)}
 
 
@@ -455,6 +464,57 @@ def test_cli_config_file_overrides_flags(tmp_path):
     meta, rows = read_csv((tmp_path / "fig1.csv").read_text())
     assert (meta["trials"], meta["k_list"], meta["spec"]["d"], meta["master_seed"]) == (3, [8], 40, 9)
     assert meta["spec"]["l_x"] == 10 and len(rows) == 3
+
+
+def test_cli_checks_only_the_final_settings(tmp_path):
+    from wjl.cli import main
+
+    # --d 5 cannot hold the preset's supports, but the file's 1-sparse pair fits.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"spec": {"l_x": 1, "l_w": 1, "l_overlap": 1}}')
+    args = ["fig1", "--d", "5", "--trials", "3", "--k", "8", "--config", str(cfg), "--out", str(tmp_path / "out")]
+    assert main(args) == 0
+    meta, rows = read_csv((tmp_path / "out" / "fig1.csv").read_text())
+    assert (meta["spec"]["d"], meta["spec"]["l_x"], len(rows)) == (5, 1, 3)
+
+
+def test_cli_sketch_eval_runs_its_config_trials(tmp_path):
+    from wjl.cli import main
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"trials": 3}')
+    args = ["sketch-eval", "--epsilon", "1.0", "--delta", "0.3", "--config", str(cfg), "--out", str(tmp_path)]
+    assert main(args) == 0
+    meta, rows = read_csv((tmp_path / "sketch_eval.csv").read_text())
+    assert meta["trials"] == 3 and [row["n_seeds"] for row in rows] == ["3", "3"]
+
+
+def test_cli_reduce_config_file_overrides_flags(tmp_path):
+    from wjl.cli import main
+
+    vec = tmp_path / "x.csv"
+    vec.write_text("index,value\n1,0.5\n3,2.0\n")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"spec": {"d": 5}, "master_seed": 9}')
+    out = tmp_path / "x.wjlr"
+    args = ["reduce", str(vec), "--d", "7", "--seed", "1", "--config", str(cfg), "--k-dim", "8", "--output", str(out)]
+    assert main(args) == 0
+    expected = reduce_sparse(ProjectionMatrix(k=8, d=5, seed=9), np.array([1, 3]), np.array([0.5, 2.0]))
+    assert out.read_bytes() == expected.to_bytes()
+
+
+@pytest.mark.parametrize("args, config, message", [
+    (["gen", "--l-overlap", "-1"], "{}", "overlap must not be negative, got -1"),
+    (["fig1"], '{"spec": {"norm_x": NaN}}', "target norm must be positive and finite, got nan"),
+    (["fig3"], '{"spec": {"norm_x": Infinity}}', "target norm must be positive and finite, got inf"),
+])
+def test_cli_rejects_bad_specs_before_writing(tmp_path, capsys, args, config, message):
+    from wjl.cli import main
+
+    (tmp_path / "cfg.json").write_text(config)
+    assert main([*args, "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("args", [
