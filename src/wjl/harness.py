@@ -22,7 +22,9 @@ from ._mix import mix2
 from .generators import SparseSpec, gen_pair
 from .oracle import WeightedPair, distortion, exact_expectation, weighted_sq_norm
 from .projection import ProjectionMatrix, reduce_sparse, rho
-from .sketch import SketchConfig, StreamSketch, ingest_pair, new_pair, plan_sketch, sketch_estimate
+from .sketch import StreamSketch, pair_estimates, plan_sketch
+# perfbench/spans.py traces these names here; sketch-eval no longer calls them.
+from .sketch import ingest_pair, sketch_estimate  # noqa: F401
 
 # Seed-stream tags for deriving per-purpose seeds from the master seed.
 _TAG_PAIR = 1
@@ -271,27 +273,24 @@ def sketch_success_rate(
     threads: int = 1,
 ) -> list[float]:
     """Per width m, the fraction of independent r x m sketches whose estimate
-    lands within epsilon; each seed is hashed once, the widest arm reads the
-    pair itself and every narrower one a corner.  Seeds run on a pool of that
-    many threads, and the rates do not depend on it."""
+    lands within epsilon, all widths read from the same seeds' counters (see
+    pair_estimates).  The seeds are split into `threads` contiguous ranges,
+    one pair_estimates call each on a pool of that many threads, and the
+    rates do not depend on it."""
+    if n_seeds < 1:
+        raise ValueError(f"n_seeds must be positive, got {n_seeds}")
     truth = weighted_sq_norm(pair)
     union = np.union1d(np.flatnonzero(pair.x), np.flatnonzero(pair.w))
     xs, ws = pair.x[union], pair.w[union]
-    widest = max(widths)
+    seeds = np.array([mix2(master_seed, _TAG_SKETCH, s) for s in range(n_seeds)], dtype=np.uint64)
 
-    def seed_hits(s):
-        cfg = SketchConfig(r=r, m=widest, seed=mix2(master_seed, _TAG_SKETCH, s), mode="turnstile")
-        sx, sw = new_pair(cfg)
-        ingest_pair(sx, sw, union, xs, ws)
-        hits = []
-        for m in widths:
-            est = sketch_estimate(*((sx, sw) if m == widest else (sx.corner(m), sw.corner(m)))).value
-            hits.append(abs(est - truth) <= epsilon * truth)
-        return hits
+    def estimates(part):
+        return pair_estimates(union, xs, ws, part, r, widths)
 
     # _pool_map, not _map: _map maps fig trials, and a seed is not one.
-    per_seed = _pool_map(threads, seed_hits, range(n_seeds))
-    return [sum(hits) / n_seeds for hits in zip(*per_seed)]
+    ests = np.concatenate(_pool_map(threads, estimates, np.array_split(seeds, min(threads, n_seeds))))
+    hits = (np.abs(ests - truth) <= epsilon * truth).sum(axis=0)
+    return [int(h) / n_seeds for h in hits]
 
 
 def run_sketch_eval(cfg: ExperimentConfig) -> tuple[list[dict], Path]:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,6 +35,11 @@ _MODES = ("timestep", "turnstile")
 # cells or more, and a batch of few keys bounds the cells' temporaries.
 _HASH_ELEMS = 1 << 20
 _MAX_HASH_CELLS = 1 << 13
+
+# pair_estimates hashes blocks of seeds whose cells number about _BLOCK_CELLS
+# (one seed when a sketch has more): few enough that its counters stay a few
+# MB, enough that a block of small sketches shares each _hash_sums call.
+_BLOCK_CELLS = 1 << 16
 
 
 class ConfigMismatchError(ValueError):
@@ -74,9 +79,14 @@ class WeightedNormEstimate:
 
 def cell_seeds(config: SketchConfig) -> np.ndarray:
     """Per-cell hash seeds: mix(seed, i, j) for the full r x m grid."""
-    i = np.arange(config.r, dtype=np.uint64)[:, None]
-    j = np.arange(config.m, dtype=np.uint64)[None, :]
-    z = np.uint64(config.seed) ^ (i * np.uint64(GOLDEN)) ^ (j * np.uint64(ROW_MULT))
+    return _grid_seeds(np.uint64(config.seed), config.r, config.m)
+
+
+def _grid_seeds(seeds: np.ndarray, r: int, m: int) -> np.ndarray:
+    """cell_seeds of every sketch seed in seeds: shape seeds.shape + (r, m)."""
+    i = np.arange(r, dtype=np.uint64)[:, None]
+    j = np.arange(m, dtype=np.uint64)[None, :]
+    z = np.asarray(seeds, dtype=np.uint64)[..., None, None] ^ (i * np.uint64(GOLDEN)) ^ (j * np.uint64(ROW_MULT))
     return finalize_array(z)
 
 
@@ -128,16 +138,6 @@ class StreamSketch:
     def spawn(self) -> "StreamSketch":
         """Empty sketch with this sketch's config, hence its hash polynomials."""
         return StreamSketch(self.config)
-
-    def corner(self, m: int) -> "StreamSketch":
-        """A copy of the first m columns: the r x m sketch of this seed, mode
-        and stream, bit for bit, since cell_seeds depends on (seed, i, j) alone."""
-        if not 1 <= m <= self.config.m:
-            raise ValueError(f"corner width must lie in [1, {self.config.m}], got {m}")
-        out = StreamSketch(replace(self.config, m=m))
-        out.counters[...] = self.counters[:, :m]
-        out.items_seen = self.items_seen
-        return out
 
     def update(self, t: int, v: float):
         """Add v * h_ij(t) to every counter.
@@ -254,17 +254,42 @@ def plan_sketch(epsilon: float, delta: float, distortion: float) -> tuple[int, i
     return r, m
 
 
-def cell_estimates(x: np.ndarray, w: np.ndarray, seeds: np.ndarray) -> np.ndarray:
-    """Single-cell turnstile estimates Re[(C_x C_w)^2], one per seed.
+def pair_estimates(ts, xs, ws, seeds, r: int, widths) -> np.ndarray:
+    """sketch_estimate of each seed's r x w turnstile sketch pair fed the
+    parallel updates (ts, xs, ws), at every width w: (len(seeds), len(widths)).
 
-    Vectorized across seeds for variance experiments: the seeds are the cells
-    of one _hash_sums call over keys 0..d-1, so each estimate is bit-identical
-    to an r=1, m=1 turnstile sketch pair fed x and w (see tests).
+    No sketch is built.  cell_seeds depends on (seed, i, j) alone, so the
+    r x w pair is bit for bit the first w columns of the r x max(widths) one,
+    and every width reads a slice of the same counters.  Seeds are hashed in
+    blocks of S = _BLOCK_CELLS // (r * m) (at least one), one _hash_sums call
+    per block, into (2, S, r, m) counters allocated once per call and zeroed
+    per block: 32 S r m bytes of counters and 8 S r m of cell seeds.
     """
-    x = np.asarray(x, dtype=np.float64)
-    w = np.asarray(w, dtype=np.float64)
-    # Cell (0, 0) mixing degenerates to finalize(seed), see cell_seeds.
-    seeds = finalize_array(np.asarray(seeds, dtype=np.uint64))
-    cx, cw = np.zeros((2, *seeds.shape), dtype=np.complex128)
-    _hash_sums(seeds, np.arange(len(x)), [x, w], [cx, cw])
-    return ((cx * cw) ** 2).real
+    if not widths:
+        raise ValueError("widths must not be empty")
+    if min(widths) < 1 or r < 1:
+        raise ValueError(f"r and widths must be positive, got r={r}, widths={tuple(widths)}")
+    xs = np.asarray(xs, dtype=np.float64)
+    ws = np.asarray(ws, dtype=np.float64)
+    seeds = np.asarray(seeds, dtype=np.uint64).reshape(-1)
+    m = max(widths)
+    block = max(1, _BLOCK_CELLS // (r * m))
+    counters = np.empty((2, min(block, seeds.size), r, m), dtype=np.complex128)
+    out = np.empty((seeds.size, len(widths)))
+    for start in range(0, seeds.size, block):
+        part = seeds[start : start + block]
+        cx, cw = counters[:, : part.size]
+        cx[...] = cw[...] = 0
+        _hash_sums(_grid_seeds(part, r, m), ts, [xs, ws], [cx, cw])
+        for col, w in enumerate(widths):
+            cell = (cx[..., :w] * cw[..., :w]) ** 2
+            out[start : start + part.size, col] = np.median(cell.mean(axis=2).real, axis=1)
+    return out
+
+
+def cell_estimates(x: np.ndarray, w: np.ndarray, seeds: np.ndarray) -> np.ndarray:
+    """Single-cell turnstile estimates Re[(C_x C_w)^2], one per seed: the
+    r = m = 1 pair_estimates over keys 0..d-1, each bit-identical to an r=1,
+    m=1 turnstile sketch pair fed x and w (see tests)."""
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    return pair_estimates(np.arange(len(x)), x, w, seeds, 1, (1,)).reshape(seeds.shape)

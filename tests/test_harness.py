@@ -7,8 +7,11 @@ import numpy as np
 import pytest
 
 import wjl
+import wjl.sketch
+from wjl._mix import mix2
 from wjl.generators import SparseSpec, gen_pair
 from wjl.harness import (
+    _TAG_SKETCH,
     SCALES,
     ExperimentConfig,
     read_csv,
@@ -20,7 +23,9 @@ from wjl.harness import (
     run_verify,
     sketch_success_rate,
 )
+from wjl.oracle import weighted_sq_norm
 from wjl.projection import ProjectionMatrix, reduce_sparse
+from wjl.sketch import SketchConfig, ingest_pair, new_pair, sketch_estimate
 
 
 def _small_cfg(experiment, tmp_path, **overrides):
@@ -91,16 +96,21 @@ def test_fig1_reduces_both_vectors_per_trial(tmp_path, monkeypatch):
 
 
 def test_sketch_eval_direction(tmp_path, monkeypatch):
-    import wjl.harness
+    blocks = []
+    hash_sums = wjl.sketch._hash_sums
 
-    calls = []
-    ingest = wjl.harness.ingest_pair
-    monkeypatch.setattr(wjl.harness, "ingest_pair", lambda *args: calls.append(1) or ingest(*args))
+    def recorded(seeds, *args):
+        blocks.append((seeds.shape, seeds[..., 0, 0].copy()))  # a block's (S, r, m) grid and first cells
+        return hash_sums(seeds, *args)
+
+    monkeypatch.setattr(wjl.sketch, "_hash_sums", recorded)
     cfg = _small_cfg("sketch-eval", tmp_path, trials=60, spec=SparseSpec(d=200, l_x=2, l_w=2, l_overlap=2))
     rows, path = run_sketch_eval(cfg)
-    # Both arms are read from one sketch pair per seed.
-    assert len(calls) == 60
     by_arm = {r["arm"]: r for r in rows}
+    # Each seed's planned r x m cells are hashed exactly once, and both arms read them.
+    assert {shape[1:] for shape, _ in blocks} == {(by_arm["planned"]["r"], by_arm["planned"]["m"])}
+    first = np.concatenate([cells for _, cells in blocks])
+    assert first.size == np.unique(first).size == 60
     assert by_arm["planned"]["success_rate"] >= by_arm["undersized"]["success_rate"]
     assert path.exists()
 
@@ -111,12 +121,38 @@ def test_sketch_eval_preset_trials_are_its_sketches(scale):
     assert ExperimentConfig.preset(scale, "fig1").trials == SCALES[scale]["trials"]
 
 
-def test_sketch_success_rate_does_not_depend_on_threads():
+def test_sketch_success_rate_does_not_depend_on_threads(monkeypatch):
     # A 5 x 12 sketch misses often enough that both rates lie inside (0, 1).
     pair = gen_pair(SparseSpec(d=200, l_x=4, l_w=4, l_overlap=3, seed=5))
-    rates = sketch_success_rate(pair, 0.3, 5, (12, 3), 40, 9)
-    assert all(0 < rate < 1 for rate in rates)
-    assert sketch_success_rate(pair, 0.3, 5, (12, 3), 40, 9, threads=3) == rates
+    r, widths, n_seeds = 5, (12, 3), 40
+    # Three seeds a block; no thread's share of the 40 seeds is a multiple of 3.
+    monkeypatch.setattr(wjl.sketch, "_BLOCK_CELLS", 3 * r * max(widths))
+    rates = [sketch_success_rate(pair, 0.3, r, widths, n_seeds, 9, threads=t) for t in (1, 2, 3)]
+    truth = weighted_sq_norm(pair)
+    union = np.union1d(np.flatnonzero(pair.x), np.flatnonzero(pair.w))
+    hits = [0] * len(widths)
+    for s in range(n_seeds):
+        for col, m in enumerate(widths):
+            sx, sw = new_pair(SketchConfig(r=r, m=m, seed=mix2(9, _TAG_SKETCH, s), mode="turnstile"))
+            ingest_pair(sx, sw, union, pair.x[union], pair.w[union])
+            hits[col] += abs(sketch_estimate(sx, sw).value - truth) <= 0.3 * truth
+    assert rates == [[h / n_seeds for h in hits]] * 3
+    assert all(0 < rate < 1 for rate in rates[0])
+
+
+@pytest.mark.parametrize(
+    "widths, n_seeds, message",
+    [
+        ((12, 3), 0, "n_seeds must be positive, got 0"),
+        ((), 40, "widths must not be empty"),
+        ((12, 0), 40, r"r and widths must be positive, got r=5, widths=\(12, 0\)"),
+        ((-1,), 40, r"r and widths must be positive, got r=5, widths=\(-1,\)"),
+    ],
+)
+def test_sketch_success_rate_rejects_bad_arguments(widths, n_seeds, message):
+    pair = gen_pair(SparseSpec(d=200, l_x=4, l_w=4, l_overlap=3, seed=5))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        sketch_success_rate(pair, 0.3, 5, widths, n_seeds, 9)
 
 
 def test_sketch_eval_maps_seeds_over_threads_but_not_as_fig_trials(tmp_path, monkeypatch):

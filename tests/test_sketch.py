@@ -2,15 +2,19 @@ import hashlib
 import itertools
 import struct
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import wjl.harness
 import wjl.sketch
+from wjl._mix import mix2
+from wjl.harness import _TAG_SKETCH, sketch_success_rate
 from wjl.hashing import MERSENNE_P, coefficients_for_seeds, hash_eval_exponents
-from wjl.oracle import exact_expectation
+from wjl.oracle import WeightedPair, exact_expectation, weighted_sq_norm
 from wjl.sketch import (
     ConfigMismatchError,
     SketchConfig,
@@ -457,45 +461,45 @@ def test_update_loop_update_many_and_ingest_pair_agree(r, m, seed, updates, chun
 
 @settings(max_examples=40, deadline=None)
 @given(
-    r=st.integers(1, 5),
-    m=st.integers(1, 400),
+    r=st.integers(1, 4),
     data=st.data(),
-    seed=st.integers(0, 2**64 - 1),
-    mode=st.sampled_from(["timestep", "turnstile"]),
-    updates=st.lists(st.tuples(_keys, _values, _values), min_size=1, max_size=40),
-    more=st.lists(st.tuples(_keys, _values), min_size=1, max_size=10),
+    entries=st.lists(st.tuples(st.integers(0, 30), _values, st.floats(0, 1e6)), min_size=1, max_size=8),
+    n_seeds=st.integers(1, 7),
+    threads=st.sampled_from([1, 2, 3]),
+    master_seed=st.integers(0, 2**64 - 1),
 )
-def test_corner_is_the_narrower_sketch_of_the_same_stream(r, m, data, seed, mode, updates, more):
-    narrow = data.draw(st.integers(1, m))
-    ts, xs, ws = (np.array(c) for c in zip(*updates))
-    ts = ts.astype(np.uint64)
-    wide_x, wide_w = new_pair(SketchConfig(r=r, m=m, seed=seed, mode=mode))
-    fresh_x, fresh_w = new_pair(SketchConfig(r=r, m=narrow, seed=seed, mode=mode))
-    for sx, sw in ((wide_x, wide_w), (fresh_x, fresh_w)):
-        ingest_pair(sx, sw, ts, xs, ws)
-    corner_x, corner_w = wide_x.corner(narrow), wide_w.corner(narrow)
-    more_ts, more_vs = (np.array(c) for c in zip(*more))
-    for step in range(2):
-        if step:  # one more batch into each
-            corner_x.update_many(more_ts.astype(np.uint64), more_vs)
-            fresh_x.update_many(more_ts.astype(np.uint64), more_vs)
-        for got, want in ((corner_x, fresh_x), (corner_w, fresh_w)):
-            assert got.config == want.config and got.items_seen == want.items_seen
-            assert np.array_equal(got.counters.view(np.uint64), want.counters.view(np.uint64))
-            assert got.to_bytes() == want.to_bytes()
-        got, want = sketch_estimate(corner_x, corner_w), sketch_estimate(fresh_x, fresh_w)
-        assert np.float64(got.value).view(np.uint64) == np.float64(want.value).view(np.uint64)
-        assert (got.r_used, got.m_used) == (want.r_used, want.m_used) == (r, narrow)
-    # A copy, not a view: the wide sketch kept its counters.
-    assert not np.shares_memory(wide_x.counters, corner_x.counters)
+def test_each_seed_estimate_is_that_of_a_fresh_narrow_pair(r, data, entries, n_seeds, threads, master_seed):
+    widths = tuple(data.draw(st.lists(st.integers(1, 300), min_size=1, max_size=3)))
+    block_cells = data.draw(st.integers(1, 3 * r * max(widths)))  # blocks of 1 to 3 seeds
+    x, w = np.zeros(31), np.zeros(31)
+    for t, xv, wv in entries:
+        x[t], w[t] = xv, wv
+    calls = []
 
+    def recorded(*args):
+        calls.append((args[3].tolist(), wjl.sketch.pair_estimates(*args)))
+        return calls[-1][1]
 
-def test_corner_width_must_lie_in_the_sketch():
-    sk = StreamSketch(SketchConfig(r=3, m=4, seed=1))
-    assert sk.corner(4).config == sk.config
-    for bad in (0, -1, 5):
-        with pytest.raises(ValueError, match=f"^corner width must lie in \\[1, 4\\], got {bad}$"):
-            sk.corner(bad)
+    with (
+        mock.patch.object(wjl.sketch, "_BLOCK_CELLS", block_cells),
+        mock.patch.object(wjl.harness, "pair_estimates", recorded),
+    ):
+        rates = sketch_success_rate(WeightedPair(x, w), 0.5, r, widths, n_seeds, master_seed, threads)
+    # One contiguous range of the seeds per thread.
+    seeds = [mix2(master_seed, _TAG_SKETCH, s) for s in range(n_seeds)]
+    calls.sort(key=lambda call: seeds.index(call[0][0]))
+    assert len(calls) == min(threads, n_seeds) and sum((part for part, _ in calls), []) == seeds
+    ts = np.union1d(np.flatnonzero(x), np.flatnonzero(w))
+    truth, hits = weighted_sq_norm(WeightedPair(x, w)), np.zeros(len(widths))
+    for part, ests in calls:
+        for seed, row in zip(part, ests):
+            for col, m in enumerate(widths):
+                sx, sw = new_pair(SketchConfig(r=r, m=m, seed=seed, mode="turnstile"))
+                ingest_pair(sx, sw, ts, x[ts], w[ts])
+                want = sketch_estimate(sx, sw).value
+                assert np.float64(want).view(np.uint64) == row[col].view(np.uint64)
+                hits[col] += abs(want - truth) <= 0.5 * truth
+    assert rates == [h / n_seeds for h in hits]
 
 
 @settings(max_examples=40, deadline=None)
