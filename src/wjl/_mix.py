@@ -26,19 +26,23 @@ _M2 = np.uint64(0x94D049BB133111EB)
 
 
 def finalize_array(z: np.ndarray) -> np.ndarray:
-    """SplitMix64 finalizer over a uint64 array; returns a new array."""
+    """SplitMix64 finalizer over a uint64 array, in place; returns z.
+
+    Every caller passes a temporary it has just built, so the finalizer
+    needs one scratch array of z's size, not two.  An argument of another
+    dtype is converted to a new uint64 array first, which is returned.
+    """
     z = np.asarray(z).astype(np.uint64, copy=False)
     if z.ndim == 0:
         # numpy warns on scalar wrap-around; go through Python ints instead
         return np.uint64(finalize(int(z)))
-    out = z >> np.uint64(30)
-    out ^= z
-    tmp = np.empty_like(out)
-    out *= _M1
-    out ^= np.right_shift(out, np.uint64(27), out=tmp)
-    out *= _M2
-    out ^= np.right_shift(out, np.uint64(31), out=tmp)
-    return out
+    tmp = np.right_shift(z, np.uint64(30))
+    z ^= tmp
+    z *= _M1
+    z ^= np.right_shift(z, np.uint64(27), out=tmp)
+    z *= _M2
+    z ^= np.right_shift(z, np.uint64(31), out=tmp)
+    return z
 
 
 def finalize(z: int) -> int:

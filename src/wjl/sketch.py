@@ -32,14 +32,18 @@ _MODES = ("timestep", "turnstile")
 # A batch hashes runs of cells whose (cells, distinct keys) exponent table
 # holds about _HASH_ELEMS entries, at most _MAX_HASH_CELLS cells: a batch of
 # many keys then spreads the cost of each tile's key limbs over a hundred
-# cells or more, and a batch of few keys bounds the cells' temporaries.
+# cells or more.  _MAX_HASH_CELLS sets the peak memory of a batch of few
+# keys, about 400 bytes a cell of run temporaries, not its speed: runs of
+# 2^12 and 2^13 cells hash a desk sketch-eval in the same time.
 _HASH_ELEMS = 1 << 20
-_MAX_HASH_CELLS = 1 << 13
+_MAX_HASH_CELLS = 1 << 12
 
-# pair_estimates hashes blocks of seeds whose cells number about _BLOCK_CELLS
-# (one seed when a sketch has more): few enough that its counters stay a few
-# MB, enough that a block of small sketches shares each _hash_sums call.
-_BLOCK_CELLS = 1 << 16
+# pair_estimates hashes blocks of seeds whose cells number at most
+# _BLOCK_CELLS (one seed when a sketch has more), so that small sketches
+# share each _hash_sums call.  The constant sets the peak memory of the
+# block's counters and seeds, 40 bytes a cell, not its speed: one 37 x 851
+# seed per block (1 MB of counters) hashes as fast as two.
+_BLOCK_CELLS = 1 << 15
 
 
 class ConfigMismatchError(ValueError):
@@ -101,7 +105,7 @@ def _hash_sums(seeds: np.ndarray, ts: np.ndarray, vectors: list[np.ndarray], cou
     are looked up in the small (cells, keys) table, then gathered contiguously
     in the order of ts, about BLOCK_ELEMS of them at a time, for the einsum,
     which sums them in the same order as over the whole (cells, n) array.
-    Memory goes to the seeds (8 bytes a cell, 24 while cell_seeds derives
+    Memory goes to the seeds (8 bytes a cell, 16 while cell_seeds derives
     them) and the runs' temporaries, which grow with n past BLOCK_ELEMS keys.
     """
     ts = np.asarray(ts)
@@ -168,7 +172,7 @@ class StreamSketch:
             self.config.seed,
             self.items_seen,
         )
-        return header + self.counters.astype("<c16", copy=False).tobytes()
+        return b"".join((header, np.ascontiguousarray(self.counters, dtype="<c16").data))
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "StreamSketch":
@@ -263,7 +267,9 @@ def pair_estimates(ts, xs, ws, seeds, r: int, widths) -> np.ndarray:
     and every width reads a slice of the same counters.  Seeds are hashed in
     blocks of S = _BLOCK_CELLS // (r * m) (at least one), one _hash_sums call
     per block, into (2, S, r, m) counters allocated once per call and zeroed
-    per block: 32 S r m bytes of counters and 8 S r m of cell seeds.
+    per block: 32 S r m bytes of counters and 8 S r m of cell seeds (16 while
+    they are derived), plus one run of _hash_sums temporaries: at 37 x 851,
+    one seed per block and a traced peak under 4 MB.
     """
     if not widths:
         raise ValueError("widths must not be empty")

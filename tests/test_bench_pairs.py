@@ -2,6 +2,8 @@
 
 import argparse
 import importlib.util
+import json
+import re
 from pathlib import Path
 
 import pytest
@@ -64,3 +66,42 @@ def test_a_reversed_seed_range_is_a_usage_error(capsys):
         bench_pairs._parse(["--parent", "a", "--change", "b", "--label", "x", "--seeds", "120-111"])
     assert exc.value.code == 2
     assert "seed range 120-111 is empty" in capsys.readouterr().err
+
+
+_SPEC = {"workloads": [{"name": "paper-desk"}, {"name": "reduce-store"}],
+         "end_to_end": [_metric("lower") | {"name": "peak_rss_mb"}, _metric("higher") | {"name": "ops_per_s"}]}
+
+
+def test_a_claim_names_a_workload_and_end_to_end_metric_of_the_benchmark():
+    assert bench_pairs._claim("paper-desk:peak_rss_mb:1.05", _SPEC) == ("paper-desk", "peak_rss_mb", 1.05)
+    assert bench_pairs._claim("reduce-store:ops_per_s:2", _SPEC) == ("reduce-store", "ops_per_s", 2.0)
+
+
+@pytest.mark.parametrize("claim, message", [
+    ("paper-desk:peak_rss_mb", "claim 'paper-desk:peak_rss_mb' is not workload:metric:target"),
+    ("paper-desk:peak_rss_mb:1.05:2", "claim 'paper-desk:peak_rss_mb:1.05:2' is not workload:metric:target"),
+    ("paper-desks:peak_rss_mb:1.05", "claim workload 'paper-desks' is not one of paper-desk, reduce-store"),
+    ("paper-desk:peak_rss:1.05", "claim metric 'peak_rss' is not one of peak_rss_mb, ops_per_s"),
+    ("paper-desk:peak_rss_mb:fast", "claim target 'fast' is not a positive ratio"),
+    ("paper-desk:peak_rss_mb:0", "claim target '0' is not a positive ratio"),
+    ("paper-desk:peak_rss_mb:nan", "claim target 'nan' is not a positive ratio"),
+])
+def test_a_malformed_or_unknown_claim_is_rejected(claim, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        bench_pairs._claim(claim, _SPEC)
+
+
+def test_a_bad_claim_exits_2_before_the_first_run(monkeypatch, capsys):
+    def git(*args, cwd):
+        return json.dumps(_SPEC | {"run_seconds": 30}) if args[0] == "show" else "0" * 40
+
+    def run(*args):
+        raise AssertionError("a benchmark run started")
+
+    monkeypatch.setattr(bench_pairs, "_git", git)
+    monkeypatch.setattr(bench_pairs, "_run", run)
+    monkeypatch.setattr(bench_pairs, "_export", run)
+    argv = ["--parent", "a", "--change", "b", "--label", "x", "--claim", "paper-desk:peak_rss:1.05"]
+    assert bench_pairs.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == "bench_pairs.py: error: claim metric 'peak_rss' is not one of peak_rss_mb, ops_per_s\n"

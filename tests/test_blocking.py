@@ -24,7 +24,7 @@ from wjl import _mix, projection
 from wjl.hashing import MERSENNE_P, coefficients_for_seeds, hash_eval_exponents
 from wjl.oracle import HashPolynomial, hash_eval
 from wjl.projection import ProjectionMatrix, reduce, reduce_sparse
-from wjl.sketch import SketchConfig, StreamSketch, cell_seeds, ingest_pair, new_pair
+from wjl.sketch import SketchConfig, StreamSketch, cell_seeds, ingest_pair, new_pair, pair_estimates
 from wjl.units import UNIT_VALUES
 
 
@@ -229,6 +229,16 @@ def test_ingest_pair_memory_stays_below_two_arrays_of_sums():
     sx, sw = new_pair(cfg)
     peak = _peak_mb(lambda: ingest_pair(sx, sw, [3, 17], [1.0, -2.0], [0.5, 2.0]))
     assert peak < 2 * 16 * cfg.r * cfg.m / 2**20
+
+
+
+@pytest.mark.parametrize("n_seeds", [10, 100])
+def test_pair_estimates_memory_stays_near_one_seed_of_counters(n_seeds):
+    # The desk sketch-eval geometry: 37 x 851 sketches, an m/4 arm, 2 keys.
+    # Each block is one seed, 1 MB of counters, hashed in runs of 4,096 cells.
+    seeds = np.arange(n_seeds, dtype=np.uint64)
+    peak = _peak_mb(lambda: pair_estimates([3, 17], [1.0, -2.0], [0.5, 2.0], seeds, 37, (851, 212)))
+    assert peak < 4.5
 
 
 _THREADS_SCRIPT = """

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -94,6 +96,26 @@ def test_coefficients_are_the_words_mod_p():
     coeffs = coefficients_for_seeds(seeds)
     assert words.shape == coeffs.shape == (2, 2, 8)
     assert [int(w) % MERSENNE_P for w in words.ravel()] == coeffs.ravel().tolist()
+
+
+@pytest.mark.parametrize("shape", [(1,), (257,), (3, 5, 7)])
+def test_finalize_array_finalizes_its_argument_in_place(shape):
+    rng = np.random.default_rng(shape[-1])
+    z = rng.integers(0, 2**64, size=shape, dtype=np.uint64)
+    z.flat[0] = 2**64 - 1
+    words = z.ravel().tolist()
+    out = _mix.finalize_array(z)
+    assert out is z
+    assert z.ravel().tolist() == [_mix.finalize(w) for w in words]
+
+
+@pytest.mark.parametrize("z", [np.uint64(2**64 - 1), np.array(2**64 - 1, dtype=np.uint64), 12345])
+def test_finalize_array_of_a_scalar_is_a_uint64_without_a_warning(z):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = _mix.finalize_array(z)
+    assert type(out) is np.uint64
+    assert int(out) == _mix.finalize(int(z))
 
 
 _FIELD = st.one_of(st.sampled_from([0, 1, MERSENNE_P - 1]), st.integers(0, MERSENNE_P - 1))

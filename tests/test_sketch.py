@@ -15,6 +15,7 @@ from wjl._mix import mix2
 from wjl.harness import _TAG_SKETCH, sketch_success_rate
 from wjl.hashing import MERSENNE_P, coefficients_for_seeds, hash_eval_exponents
 from wjl.oracle import WeightedPair, exact_expectation, weighted_sq_norm
+from wjl.projection import ReducedVector
 from wjl.sketch import (
     ConfigMismatchError,
     SketchConfig,
@@ -583,6 +584,20 @@ def test_wjls_bytes_match_recorded_hashes():
     x, w = rng.standard_normal(8), np.abs(rng.standard_normal(8))
     got["cell_estimates"] = _sha256(cell_estimates(x, w, np.arange(5000, dtype=np.uint64)).tobytes())
     assert got == _GOLDEN
+
+
+def test_writers_allocate_about_one_copy_of_the_file():
+    sk = StreamSketch(SketchConfig(r=37, m=6046, seed=3, mode="turnstile"))
+    g = ReducedVector(100_000, np.ones(100_000, dtype=complex), 7, 200_000)
+    for write, size in ((sk.to_bytes, StreamSketch.serialized_size(37, 6046)), (g.to_bytes, 22 + 16 * g.k)):
+        tracemalloc.start()
+        try:
+            blob = write()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(blob) == size
+        assert peak < 1.2 * size
 
 
 def test_from_bytes_allocates_about_one_copy_of_the_counters():

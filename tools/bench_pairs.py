@@ -18,8 +18,9 @@ parent's spread (quartile gap over median) is wider than the bound and not
 every change run reads better than every parent run.  `--claim` adds the
 claimed metric's speed-up and whether it is met (at least 9/10 of the pairs
 won, the medians further apart than the parent's quartiles, the ratio at
-least the target); `--trace-seed` adds one `--trace 1` run per side and
-workload.
+least the target); a claim whose workload or metric BENCHMARK.json does not
+name, or whose target is not a positive number, exits 2 before the first
+run.  `--trace-seed` adds one `--trace 1` run per side and workload.
 """
 
 from __future__ import annotations
@@ -106,6 +107,28 @@ def _seeds(text: str) -> list[int]:
     return [int(s) for s in text.split(",")]
 
 
+def _claim(text: str, spec: dict) -> tuple[str, str, float]:
+    """(workload, metric, target) of a workload:metric:target claim on spec's
+    workloads and end-to-end metrics; ValueError with a one-line message."""
+    parts = text.split(":")
+    if len(parts) != 3:
+        raise ValueError(f"claim {text!r} is not workload:metric:target")
+    w, metric, target = parts
+    workloads = [x["name"] for x in spec["workloads"]]
+    metrics = [m["name"] for m in spec["end_to_end"]]
+    if w not in workloads:
+        raise ValueError(f"claim workload {w!r} is not one of {', '.join(workloads)}")
+    if metric not in metrics:
+        raise ValueError(f"claim metric {metric!r} is not one of {', '.join(metrics)}")
+    try:
+        ratio = float(target)
+    except ValueError:
+        ratio = float("nan")
+    if not 0 < ratio < float("inf"):
+        raise ValueError(f"claim target {target!r} is not a positive ratio")
+    return w, metric, ratio
+
+
 def _parse(argv):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--parent", required=True, help="parent commit")
@@ -123,6 +146,11 @@ def main(argv=None) -> int:
     commits = {side: _git("rev-parse", "--verify", f"{ref}^{{commit}}", cwd=repo)
                for side, ref in (("parent", args.parent), ("change", args.change))}
     spec = json.loads(_git("show", f"{commits['parent']}:BENCHMARK.json", cwd=repo))
+    try:
+        claim = _claim(args.claim, spec) if args.claim else None
+    except ValueError as e:
+        print(f"bench_pairs.py: error: {e}", file=sys.stderr)
+        return 2
     seconds = spec["run_seconds"]
     names = [w["name"] for w in spec["workloads"]]
     same_bench = subprocess.run(["git", "diff", "--quiet", commits["parent"], commits["change"], "--",
@@ -172,20 +200,20 @@ def main(argv=None) -> int:
             "benchmark_code_identical": same_bench,
         },
     }
-    if args.claim:
-        w, metric, target = args.claim.split(":")
+    if claim:
+        w, metric, target = claim
         cmp = workloads[w]["end_to_end"][metric]
         won, n = (int(s) for s in cmp["change_wins_pairs"].split("/"))
         speedup = cmp["median_ratio_change_over_parent"]
         if cmp["better"] == "lower":
             speedup = 1 / speedup
         out["claim"] = {
-            "workload": w, "metric": metric, "target": f"at least {target}x",
+            "workload": w, "metric": metric, "target": f"at least {target:g}x",
             "parent_median": cmp["parent"]["median"], "change_median": cmp["change"]["median"],
             "speedup_of_medians": speedup, "change_wins_pairs": cmp["change_wins_pairs"],
             "median_gap_exceeds_parent_iqr": cmp["median_gap_exceeds_parent_iqr"],
             "met": bool(same_bench and won >= 0.9 * n and cmp["median_gap_exceeds_parent_iqr"]
-                        and speedup >= float(target)),
+                        and speedup >= target),
         }
     out["workloads"] = workloads
     out["not_claimed_but_measured"] = [
