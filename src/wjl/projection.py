@@ -127,7 +127,7 @@ class ReducedVector:
         header = REDUCED_MAGIC + struct.pack(
             "<HIIQ", REDUCED_VERSION, self.k, self.dims_d, self.matrix_seed
         )
-        return b"".join((header, np.ascontiguousarray(self.values, dtype="<c16").data))
+        return header + self.values.astype("<c16", copy=False).tobytes()
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "ReducedVector":

@@ -33,8 +33,8 @@ _MODES = ("timestep", "turnstile")
 # holds about _HASH_ELEMS entries, at most _MAX_HASH_CELLS cells: a batch of
 # many keys then spreads the cost of each tile's key limbs over a hundred
 # cells or more.  _MAX_HASH_CELLS sets the peak memory of a batch of few
-# keys, about 400 bytes a cell of run temporaries, not its speed: runs of
-# 2^12 and 2^13 cells hash a desk sketch-eval in the same time.
+# keys (run temporaries of about 400 bytes a cell at 2 keys), not its speed:
+# runs of 2^12 and 2^13 cells hash a desk sketch-eval in the same time.
 _HASH_ELEMS = 1 << 20
 _MAX_HASH_CELLS = 1 << 12
 
