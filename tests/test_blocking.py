@@ -231,7 +231,6 @@ def test_ingest_pair_memory_stays_below_two_arrays_of_sums():
     assert peak < 2 * 16 * cfg.r * cfg.m / 2**20
 
 
-
 @pytest.mark.parametrize("n_seeds", [10, 100])
 def test_pair_estimates_memory_stays_near_one_seed_of_counters(n_seeds):
     # The desk sketch-eval geometry: 37 x 851 sketches, an m/4 arm, 2 keys.
