@@ -147,7 +147,10 @@ def _check_keys(raw, types: dict, where: str):
 
 def _load_config(path: Path) -> dict:
     """A --config file's JSON object, with every key and value type checked."""
-    raw = json.loads(path.read_text())
+    try:
+        raw = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"config {path}: {exc}") from None
     _check_keys(raw, _CONFIG_TYPES, f"config {path}")
     _check_keys(raw.get("spec", {}), _SPEC_TYPES, f"config {path} spec")
     for k in raw.get("k_list", []):

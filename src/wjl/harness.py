@@ -297,7 +297,8 @@ def run_sketch_eval(cfg: ExperimentConfig) -> tuple[list[dict], Path]:
     """Empirical (epsilon, delta) check of the planned sketch dimensions, over
     cfg.trials sketches per arm.
 
-    Includes a deliberately undersized m/4 arm, from the same sketches, as a sanity direction.
+    Includes a deliberately undersized m/4 arm, from the same sketches, as a
+    sanity direction.  The metadata's spec is the 2-sparse one drawn.
     """
     spec = replace(cfg.spec, l_x=2, l_w=2, l_overlap=2, seed=mix2(cfg.master_seed, _TAG_PAIR, 0))
     pair = gen_pair(spec)
@@ -306,7 +307,7 @@ def run_sketch_eval(cfg: ExperimentConfig) -> tuple[list[dict], Path]:
     widths = (m, max(1, m // 4))
     rates = sketch_success_rate(pair, cfg.epsilon, r, widths, cfg.trials, cfg.master_seed, cfg.threads)
     rows = []
-    for arm, m_used, rate in zip(("planned", "undersized"), widths, rates):
+    for arm, width, rate in zip(("planned", "undersized"), widths, rates):
         rows.append(
             {
                 "arm": arm,
@@ -314,13 +315,13 @@ def run_sketch_eval(cfg: ExperimentConfig) -> tuple[list[dict], Path]:
                 "delta": cfg.delta,
                 "distortion": dist,
                 "r": r,
-                "m": m_used,
+                "m": width,
                 "n_seeds": cfg.trials,
                 "success_rate": rate,
-                "sketch_bytes": StreamSketch.serialized_size(r, m_used),
+                "sketch_bytes": StreamSketch.serialized_size(r, width),
             }
         )
-    meta = _config_meta(cfg, true_value=weighted_sq_norm(pair))
+    meta = _config_meta(replace(cfg, spec=spec), true_value=weighted_sq_norm(pair))
     text = _csv(meta, list(rows[0]), [list(row.values()) for row in rows])
     path = _write(cfg, "sketch_eval.csv", text)
     return rows, path

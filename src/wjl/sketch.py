@@ -32,18 +32,13 @@ _MODES = ("timestep", "turnstile")
 # A batch hashes runs of cells whose (cells, distinct keys) exponent table
 # holds about _HASH_ELEMS entries, at most _MAX_HASH_CELLS cells: a batch of
 # many keys then spreads the cost of each tile's key limbs over a hundred
-# cells or more.  _MAX_HASH_CELLS sets the peak memory of a batch of few
-# keys (run temporaries of about 400 bytes a cell at 2 keys), not its speed:
-# runs of 2^12 and 2^13 cells hash a desk sketch-eval in the same time.
+# cells or more.  _MAX_HASH_CELLS also bounds the cells of pair_estimates'
+# blocks of seeds (one seed when a sketch has more), so a block of up to 256
+# distinct keys is one run.  It sets the peak memory of a batch of few keys
+# (run temporaries of about 400 bytes a cell at 2 keys), not its speed: runs
+# of 2^12 and 2^13 cells hash a desk sketch-eval in the same time.
 _HASH_ELEMS = 1 << 20
 _MAX_HASH_CELLS = 1 << 12
-
-# pair_estimates hashes blocks of seeds whose cells number at most
-# _BLOCK_CELLS (one seed when a sketch has more), so that small sketches
-# share each _hash_sums call.  The constant sets the peak memory of the
-# block's counters and seeds, 40 bytes a cell, not its speed: one 37 x 851
-# seed per block (1 MB of counters) hashes as fast as two.
-_BLOCK_CELLS = 1 << 15
 
 
 class ConfigMismatchError(ValueError):
@@ -73,12 +68,6 @@ class WeightedNormEstimate:
     """Median-of-means estimate; may be negative, never clamped."""
 
     value: float
-    r_used: int
-    m_used: int
-
-    @property
-    def is_negative(self) -> bool:
-        return self.value < 0
 
 
 def cell_seeds(config: SketchConfig) -> np.ndarray:
@@ -230,9 +219,12 @@ def _check_same_config(a: StreamSketch, b: StreamSketch):
 def sketch_estimate(sx: StreamSketch, sw: StreamSketch) -> WeightedNormEstimate:
     """Median over rows of the mean of Re[(C_x[i,j] * C_w[i,j])^2] per row."""
     _check_same_config(sx, sw)
-    cell = (sx.counters * sw.counters) ** 2
-    row_means = cell.mean(axis=1).real
-    return WeightedNormEstimate(float(np.median(row_means)), sx.config.r, sx.config.m)
+    return WeightedNormEstimate(float(_median_of_means(sx.counters, sw.counters)))
+
+
+def _median_of_means(cx: np.ndarray, cw: np.ndarray) -> np.ndarray:
+    """Median over rows (axis -2) of the row means (axis -1) of Re[(cx * cw)^2]."""
+    return np.median(((cx * cw) ** 2).mean(axis=-1).real, axis=-1)
 
 
 def sketch_merge(a: StreamSketch, b: StreamSketch) -> StreamSketch:
@@ -265,11 +257,12 @@ def pair_estimates(ts, xs, ws, seeds, r: int, widths) -> np.ndarray:
     No sketch is built.  cell_seeds depends on (seed, i, j) alone, so the
     r x w pair is bit for bit the first w columns of the r x max(widths) one,
     and every width reads a slice of the same counters.  Seeds are hashed in
-    blocks of S = _BLOCK_CELLS // (r * m) (at least one), one _hash_sums call
-    per block, into (2, S, r, m) counters allocated once per call and zeroed
-    per block: 32 S r m bytes of counters and 8 S r m of cell seeds (16 while
-    they are derived), plus one run of _hash_sums temporaries: at 37 x 851,
-    one seed per block and a traced peak under 4 MB.
+    blocks of S = 2^12 // (r * m) (at least one), one _hash_sums call per
+    block, into (2, S, r, m) counters allocated once per call and zeroed per
+    block; the 2^12 is _MAX_HASH_CELLS, the one cell budget, so a block of
+    few keys is one _hash_sums run.  Memory: 32 S r m bytes of counters and
+    8 S r m of cell seeds (16 while they are derived), plus one run of
+    _hash_sums temporaries: at 37 x 851, one seed per block.
     """
     if not widths:
         raise ValueError("widths must not be empty")
@@ -279,7 +272,7 @@ def pair_estimates(ts, xs, ws, seeds, r: int, widths) -> np.ndarray:
     ws = np.asarray(ws, dtype=np.float64)
     seeds = np.asarray(seeds, dtype=np.uint64).reshape(-1)
     m = max(widths)
-    block = max(1, _BLOCK_CELLS // (r * m))
+    block = max(1, _MAX_HASH_CELLS // (r * m))
     counters = np.empty((2, min(block, seeds.size), r, m), dtype=np.complex128)
     out = np.empty((seeds.size, len(widths)))
     for start in range(0, seeds.size, block):
@@ -288,8 +281,7 @@ def pair_estimates(ts, xs, ws, seeds, r: int, widths) -> np.ndarray:
         cx[...] = cw[...] = 0
         _hash_sums(_grid_seeds(part, r, m), ts, [xs, ws], [cx, cw])
         for col, w in enumerate(widths):
-            cell = (cx[..., :w] * cw[..., :w]) ** 2
-            out[start : start + part.size, col] = np.median(cell.mean(axis=2).real, axis=1)
+            out[start : start + part.size, col] = _median_of_means(cx[..., :w], cw[..., :w])
     return out
 
 

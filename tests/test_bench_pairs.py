@@ -105,3 +105,57 @@ def test_a_bad_claim_exits_2_before_the_first_run(monkeypatch, capsys):
     assert bench_pairs.main(argv) == 2
     err = capsys.readouterr().err
     assert err == "bench_pairs.py: error: claim metric 'peak_rss' is not one of peak_rss_mb, ops_per_s\n"
+
+
+def _patched_main(monkeypatch, tmp_path, *, diff="", change_run=None):
+    """main() with a 2x claim on reduce-store ops_per_s over fake runs in which
+    the change doubles ops_per_s; change_run edits the change side's runs."""
+    def git(*args, cwd):
+        if args[0] == "show":
+            return json.dumps(_SPEC | {"run_seconds": 30})
+        if args[0] == "diff":
+            return diff
+        return str(tmp_path) if "--show-toplevel" in args else "0" * 40
+
+    def run(tree, workload, seed, seconds, trace):
+        ops = (200.0 if tree == "change" else 100.0) + seed % 7
+        out = {"correct": True, "failed": 0, "attempted": 100,
+               "metrics": {"peak_rss_mb": {"value": 50.0}, "ops_per_s": {"value": ops}}}
+        if tree == "change" and change_run:
+            change_run(workload, out)
+        return out
+
+    monkeypatch.setattr(bench_pairs, "_git", git)
+    monkeypatch.setattr(bench_pairs, "_export", lambda repo, commit, dest: dest.name)
+    monkeypatch.setattr(bench_pairs, "_run", run)
+    argv = ["--parent", "a", "--change", "b", "--label", "x", "--claim", "reduce-store:ops_per_s:1.5"]
+    assert bench_pairs.main(argv) == 0
+    return json.loads((tmp_path / "BENCH_x.json").read_text())["claim"]
+
+
+def test_a_claim_won_on_every_pair_is_met(monkeypatch, tmp_path):
+    claim = _patched_main(monkeypatch, tmp_path)
+    assert claim["change_wins_pairs"] == "10/10" and claim["speedup_of_medians"] >= 1.5
+    assert claim["met"] is True
+
+
+def _fail_check(workload, out):
+    if workload == "paper-desk":
+        out["correct"] = False
+
+
+def _fail_op(workload, out):
+    if workload == "paper-desk":
+        out["failed"] = 1
+
+
+@pytest.mark.parametrize("diff, change_run", [
+    ("perfbench/run.py", None),  # the benchmark code differs
+    ("", _fail_check),  # a check of another workload failed on the change side
+    ("", _fail_op),  # another workload fails a larger share of its operations
+])
+def test_a_claim_is_not_met_on_other_benchmark_code_failed_checks_or_more_failures(monkeypatch, tmp_path, diff,
+                                                                                   change_run):
+    claim = _patched_main(monkeypatch, tmp_path, diff=diff, change_run=change_run)
+    assert claim["change_wins_pairs"] == "10/10" and claim["speedup_of_medians"] >= 1.5
+    assert claim["met"] is False

@@ -11,6 +11,7 @@ import wjl.sketch
 from wjl._mix import mix2
 from wjl.generators import SparseSpec, gen_pair
 from wjl.harness import (
+    _TAG_PAIR,
     _TAG_SKETCH,
     SCALES,
     ExperimentConfig,
@@ -115,6 +116,14 @@ def test_sketch_eval_direction(tmp_path, monkeypatch):
     assert path.exists()
 
 
+def test_sketch_eval_metadata_states_the_spec_it_draws(tmp_path):
+    cfg = _small_cfg("sketch-eval", tmp_path, trials=3)
+    _, path = run_sketch_eval(cfg)
+    spec = read_csv(path.read_text())[0]["spec"]
+    assert spec["l_x"] == spec["l_w"] == spec["l_overlap"] == 2
+    assert spec["d"] == cfg.spec.d and spec["seed"] == mix2(cfg.master_seed, _TAG_PAIR, 0)
+
+
 @pytest.mark.parametrize("scale", sorted(SCALES))
 def test_sketch_eval_preset_trials_are_its_sketches(scale):
     assert ExperimentConfig.preset(scale, "sketch-eval").trials == SCALES[scale]["sketch_seeds"]
@@ -126,7 +135,7 @@ def test_sketch_success_rate_does_not_depend_on_threads(monkeypatch):
     pair = gen_pair(SparseSpec(d=200, l_x=4, l_w=4, l_overlap=3, seed=5))
     r, widths, n_seeds = 5, (12, 3), 40
     # Three seeds a block; no thread's share of the 40 seeds is a multiple of 3.
-    monkeypatch.setattr(wjl.sketch, "_BLOCK_CELLS", 3 * r * max(widths))
+    monkeypatch.setattr(wjl.sketch, "_MAX_HASH_CELLS", 3 * r * max(widths))
     rates = [sketch_success_rate(pair, 0.3, r, widths, n_seeds, 9, threads=t) for t in (1, 2, 3)]
     truth = weighted_sq_norm(pair)
     union = np.union1d(np.flatnonzero(pair.x), np.flatnonzero(pair.w))
@@ -434,6 +443,8 @@ def test_cli_rejects_index_beyond_64_bits(tmp_path, capsys, command):
     ("fig3", '{"spec": {"d": 300, "l": 4}}', " spec has unknown key 'l'"),
     ("sketch-eval", '{"epsilon": true}', ": epsilon must be float, got bool"),
     ("fig4", '{"k_list": [16, 1.5]}', ": k_list must hold integers, got float"),
+    ("fig1", "{bad", ": Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+    ("reduce", "{bad", ": Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
 ])
 def test_cli_rejects_bad_config_files(tmp_path, capsys, command, text, message):
     from wjl.cli import main
@@ -587,6 +598,9 @@ def test_cli_rejects_flags_a_command_does_not_read(tmp_path, capsys, args):
 # sums in another order than two 1-row products: their estimates moved in the
 # last bits (at most 9.4e-15 relative here), so those five files were
 # recorded again.  fig1.svg's histogram bins did not move.
+# sketch_eval.csv's metadata states the 2-sparse spec that it draws (with
+# that draw's seed) instead of the preset's; its rows did not move, so it was
+# recorded again.
 _RECORDED = {
     "fig1.csv": "94c8432fe67faadfcab1bf848c25f897609ba300c9ec642962ffb8145f58ae75",
     "fig1.svg": "aefc34b3423634373f905807557d477988265a8b17832b2abb0defd71febce0a",
@@ -596,7 +610,7 @@ _RECORDED = {
     "fig3.svg": "d04a5b27c1e08cbd54f190c2bb47f5c2f65df28d4e9bc2d83c1328e662e09fa1",
     "fig4.csv": "753fd9859b52e0f3e88faa7e7e14006f732f20a017a0ce3b4c012fb638842ac1",
     "fig4.svg": "01ba6b9b201c3e28107781a60fb80e273bfafda6eed284c6d76d2e319e8b3aa3",
-    "sketch_eval.csv": "01c63ddb4b2f651a452600f1b8aa3a6fba46c6deee4ed898fbf7bfe3f0d1fe0a",
+    "sketch_eval.csv": "f4e295db4e89b8c34599a584c3702e95fa9b629347b55fa6e355fa3efaa9a45f",
 }
 
 

@@ -16,11 +16,14 @@ side's runs, median and quartiles, the pairs the change won, and the bound
 check: "within" or "outside" the metric's bound, or "unresolved" where the
 parent's spread (quartile gap over median) is wider than the bound and not
 every change run reads better than every parent run.  `--claim` adds the
-claimed metric's speed-up and whether it is met (at least 9/10 of the pairs
-won, the medians further apart than the parent's quartiles, the ratio at
-least the target); a claim whose workload or metric BENCHMARK.json does not
-name, or whose target is not a positive number, exits 2 before the first
-run.  `--trace-seed` adds one `--trace 1` run per side and workload.
+claimed metric's speed-up and whether it is met (the benchmark code the
+same on both sides, every check of every run correct, no workload's change
+side failing a larger share of its operations than the parent, at least
+9/10 of the pairs won, the medians further apart than the parent's
+quartiles, the ratio at least the target); a claim whose workload or
+metric BENCHMARK.json does not name, or whose target is not a positive
+number, exits 2 before the first run.  `--trace-seed` adds one `--trace 1`
+run per side and workload.
 """
 
 from __future__ import annotations
@@ -88,6 +91,11 @@ def _compare(metric: dict, parent: list[float], change: list[float]) -> dict:
     }
 
 
+def _failed_share(failed_attempted: list[int]) -> float:
+    failed, attempted = failed_attempted
+    return failed / attempted if attempted else 0.0
+
+
 def _cpu() -> str:
     try:
         for line in Path("/proc/cpuinfo").read_text().splitlines():
@@ -153,8 +161,8 @@ def main(argv=None) -> int:
         return 2
     seconds = spec["run_seconds"]
     names = [w["name"] for w in spec["workloads"]]
-    same_bench = subprocess.run(["git", "diff", "--quiet", commits["parent"], commits["change"], "--",
-                                 "perfbench", "BENCHMARK.json"], cwd=repo).returncode == 0
+    same_bench = not _git("diff", "--name-only", commits["parent"], commits["change"], "--",
+                          "perfbench", "BENCHMARK.json", cwd=repo)
     runs = {(w, side): [] for w in names for side in commits}
     traced = {}
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
@@ -204,6 +212,9 @@ def main(argv=None) -> int:
         w, metric, target = claim
         cmp = workloads[w]["end_to_end"][metric]
         won, n = (int(s) for s in cmp["change_wins_pairs"].split("/"))
+        checks_correct = all(all(wl["all_checks_correct"].values()) for wl in workloads.values())
+        no_more_failures = all(_failed_share(wl["failed_over_attempted"]["change"])
+                               <= _failed_share(wl["failed_over_attempted"]["parent"]) for wl in workloads.values())
         speedup = cmp["median_ratio_change_over_parent"]
         if cmp["better"] == "lower":
             speedup = 1 / speedup
@@ -212,8 +223,8 @@ def main(argv=None) -> int:
             "parent_median": cmp["parent"]["median"], "change_median": cmp["change"]["median"],
             "speedup_of_medians": speedup, "change_wins_pairs": cmp["change_wins_pairs"],
             "median_gap_exceeds_parent_iqr": cmp["median_gap_exceeds_parent_iqr"],
-            "met": bool(same_bench and won >= 0.9 * n and cmp["median_gap_exceeds_parent_iqr"]
-                        and speedup >= target),
+            "met": bool(same_bench and checks_correct and no_more_failures and won >= 0.9 * n
+                        and cmp["median_gap_exceeds_parent_iqr"] and speedup >= target),
         }
     out["workloads"] = workloads
     out["not_claimed_but_measured"] = [
