@@ -33,10 +33,10 @@ _MODES = ("timestep", "turnstile")
 # holds about _HASH_ELEMS entries, at most _MAX_HASH_CELLS cells: a batch of
 # many keys then spreads the cost of each tile's key limbs over a hundred
 # cells or more.  _MAX_HASH_CELLS also bounds the cells of pair_estimates'
-# blocks of seeds (one seed when a sketch has more), so a block of up to 256
-# distinct keys is one run.  It sets the peak memory of a batch of few keys
-# (run temporaries of about 400 bytes a cell at 2 keys), not its speed: runs
-# of 2^12 and 2^13 cells hash a desk sketch-eval in the same time.
+# blocks of seeds (one seed when a sketch has more), so a block of several
+# seeds fed up to 256 distinct keys is one run.  It sets the peak memory of a
+# batch of few keys (run temporaries of about 400 bytes a cell at 2 keys),
+# not its speed: 2^12- and 2^13-cell runs hash a desk sketch-eval as fast.
 _HASH_ELEMS = 1 << 20
 _MAX_HASH_CELLS = 1 << 12
 
@@ -260,9 +260,9 @@ def pair_estimates(ts, xs, ws, seeds, r: int, widths) -> np.ndarray:
     blocks of S = 2^12 // (r * m) (at least one), one _hash_sums call per
     block, into (2, S, r, m) counters allocated once per call and zeroed per
     block; the 2^12 is _MAX_HASH_CELLS, the one cell budget, so a block of
-    few keys is one _hash_sums run.  Memory: 32 S r m bytes of counters and
-    8 S r m of cell seeds (16 while they are derived), plus one run of
-    _hash_sums temporaries: at 37 x 851, one seed per block.
+    several seeds and few keys is one _hash_sums run.  Memory: 32 S r m
+    bytes of counters and 8 S r m of cell seeds (16 while they are derived),
+    plus one run of _hash_sums temporaries: at 37 x 851, one seed per block.
     """
     if not widths:
         raise ValueError("widths must not be empty")
